@@ -1,0 +1,292 @@
+//! Newline framing with a per-line byte cap, independent of sockets.
+//!
+//! A [`LineBuffer`] takes a stream's bytes in whatever chunks they
+//! arrive and hands out complete request lines. However the stream is
+//! split:
+//!
+//! * every byte is scanned for `\n` once, so framing a line costs time
+//!   linear in its length (no rescans of the pending bytes after each
+//!   read);
+//! * a line is handed out as a range of the buffer, never copied;
+//! * the same lines, [`Frame::TooLong`]s and tail come out as when the
+//!   whole input arrives in one chunk — in particular the cap holds
+//!   for a whole buffered line exactly as for one still arriving.
+//!
+//! A line is the bytes before a `\n`, minus one trailing `\r`. A line
+//! longer than the cap is a [`Frame::TooLong`]; once an unterminated
+//! line is known to be over the cap its bytes are dropped as they
+//! arrive, so an endless line holds at most one read's worth of memory.
+
+use std::io::Read;
+use std::ops::Range;
+
+/// Bytes requested from the stream per read.
+pub const READ_CHUNK: usize = 64 * 1024;
+
+/// One framed unit of the stream.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A complete line: its range in [`LineBuffer::bytes`], without the
+    /// terminator. Valid until the buffer next takes bytes.
+    Line(Range<usize>),
+    /// A line over the cap; its bytes were dropped.
+    TooLong,
+}
+
+/// A byte buffer that frames newline-terminated lines under a cap.
+#[derive(Debug)]
+pub struct LineBuffer {
+    /// The bytes read so far are `buf[..end]`; the rest is spare room
+    /// a read fills, zeroed once when the buffer grows rather than on
+    /// every read.
+    buf: Vec<u8>,
+    end: usize,
+    /// Offset of the first byte not yet handed out.
+    start: usize,
+    /// `buf[start..scanned]` holds no `\n`: the next scan starts here.
+    scanned: usize,
+    /// Set while dropping the rest of an over-cap line.
+    discarding: bool,
+    max_line_bytes: usize,
+}
+
+impl LineBuffer {
+    /// An empty buffer whose lines may hold up to `max_line_bytes`
+    /// bytes (terminator excluded).
+    pub fn new(max_line_bytes: usize) -> LineBuffer {
+        LineBuffer {
+            buf: Vec::new(),
+            end: 0,
+            start: 0,
+            scanned: 0,
+            discarding: false,
+            max_line_bytes,
+        }
+    }
+
+    /// Takes the stream's next chunk: reads once from `source`
+    /// straight into the buffer (up to [`READ_CHUNK`] bytes) and
+    /// returns what `read` returned.
+    pub fn fill(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+        self.compact();
+        let room = self.end + READ_CHUNK;
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        let read = source.read(&mut self.buf[self.end..room]);
+        self.end += read.as_ref().map_or(0, |&n| n.min(READ_CHUNK));
+        read
+    }
+
+    /// The next frame, or `None` when the buffered bytes end inside a
+    /// line and more must be read.
+    pub fn next_frame(&mut self) -> Option<Frame> {
+        let newline = self.buf[self.scanned..self.end]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|i| self.scanned + i);
+        let Some(end) = newline else {
+            self.scanned = self.end;
+            // `cap + 1` leaves room for a `\r` whose `\n` has not
+            // arrived: beyond it the line is over the cap whatever
+            // follows, so its bytes need not be kept.
+            if self.discarding || self.end - self.start > self.max_line_bytes + 1 {
+                self.discarding = true;
+                self.end = 0;
+                self.start = 0;
+                self.scanned = 0;
+            }
+            return None;
+        };
+        let line_start = self.start;
+        self.start = end + 1;
+        self.scanned = self.start;
+        if std::mem::take(&mut self.discarding) {
+            return Some(Frame::TooLong);
+        }
+        let line_end = if end > line_start && self.buf[end - 1] == b'\r' {
+            end - 1
+        } else {
+            end
+        };
+        if line_end - line_start > self.max_line_bytes {
+            return Some(Frame::TooLong);
+        }
+        Some(Frame::Line(line_start..line_end))
+    }
+
+    /// The bytes of a [`Frame::Line`] range from the latest
+    /// [`LineBuffer::next_frame`].
+    pub fn bytes(&self, range: Range<usize>) -> &[u8] {
+        self.buf.get(range).unwrap_or_default()
+    }
+
+    /// The buffered bytes after the last frame: the start of a line
+    /// whose `\n` has not arrived (empty while dropping an over-cap
+    /// line).
+    pub fn tail(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Whether the bytes arriving now belong to an over-cap line.
+    pub fn is_discarding(&self) -> bool {
+        self.discarding
+    }
+
+    /// Moves the unread bytes to the front before a read.
+    fn compact(&mut self) {
+        if self.start == 0 {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.scanned -= self.start;
+        self.start = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use repliflow_core::gen::Gen;
+
+    /// What framing a whole input yields: each line (or `None` for a
+    /// `TooLong`), the tail, and whether an over-cap tail is being
+    /// dropped.
+    type Framed = (Vec<Option<Vec<u8>>>, Vec<u8>, bool);
+
+    fn drain(buffer: &mut LineBuffer, out: &mut Vec<Option<Vec<u8>>>) {
+        while let Some(frame) = buffer.next_frame() {
+            out.push(match frame {
+                Frame::Line(range) => Some(buffer.bytes(range).to_vec()),
+                Frame::TooLong => None,
+            });
+        }
+    }
+
+    /// Feeds `input` in chunks ending at `cuts`, framing after each.
+    fn frame_chunked(input: &[u8], cuts: &[usize], cap: usize) -> Framed {
+        let mut buffer = LineBuffer::new(cap);
+        let mut out = Vec::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain(std::iter::once(&input.len())) {
+            let mut chunk = &input[from..to];
+            assert_eq!(buffer.fill(&mut chunk).unwrap(), to - from);
+            drain(&mut buffer, &mut out);
+            from = to;
+        }
+        (out, buffer.tail().to_vec(), buffer.is_discarding())
+    }
+
+    /// A line whose length sits near `cap`, the interesting boundary.
+    fn random_line(gen: &mut Gen, cap: usize) -> Vec<u8> {
+        let len = match gen.int(0, 3) {
+            0 => gen.size(0, 4),
+            1 => gen.size(cap.saturating_sub(2), cap + 2),
+            2 => gen.size(0, cap),
+            _ => gen.size(cap, cap * 3),
+        };
+        let mut line: Vec<u8> = (0..len).map(|_| b"ab{}\r"[gen.size(0, 4)]).collect();
+        if gen.flip(0.4) {
+            line.push(b'\r');
+        }
+        line.push(b'\n');
+        line
+    }
+
+    /// Chunk boundaries: random offsets plus offsets at every `\r\n`
+    /// and at `cap`/`cap + 1`/`cap + 2` bytes into every line.
+    fn random_cuts(gen: &mut Gen, input: &[u8], cap: usize) -> Vec<usize> {
+        let mut cuts: Vec<usize> = (0..gen.size(0, 12))
+            .map(|_| gen.size(0, input.len()))
+            .collect();
+        let mut line_start = 0;
+        for (i, &b) in input.iter().enumerate() {
+            if b == b'\n' {
+                if i > 0 && input[i - 1] == b'\r' && gen.flip(0.5) {
+                    cuts.push(i);
+                }
+                for off in [cap, cap + 1, cap + 2] {
+                    if line_start + off <= input.len() && gen.flip(0.5) {
+                        cuts.push(line_start + off);
+                    }
+                }
+                line_start = i + 1;
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    }
+
+    #[test]
+    fn chunking_does_not_change_the_frames() {
+        let mut gen = Gen::new(0x11E5);
+        for case in 0..400 {
+            let cap = gen.size(1, 24);
+            let mut input: Vec<u8> = (0..gen.size(0, 8))
+                .flat_map(|_| random_line(&mut gen, cap))
+                .collect();
+            // an unterminated tail, sometimes over the cap
+            if gen.flip(0.5) {
+                let mut tail = random_line(&mut gen, cap);
+                tail.pop();
+                input.extend(tail);
+            }
+            let whole = frame_chunked(&input, &[], cap);
+            for _ in 0..6 {
+                let cuts = random_cuts(&mut gen, &input, cap);
+                assert_eq!(
+                    frame_chunked(&input, &cuts, cap),
+                    whole,
+                    "case {case}: cap {cap}, cuts {cuts:?}, input {:?}",
+                    String::from_utf8_lossy(&input)
+                );
+            }
+            let bytewise: Vec<usize> = (1..input.len()).collect();
+            assert_eq!(frame_chunked(&input, &bytewise, cap), whole, "case {case}");
+        }
+    }
+
+    #[test]
+    fn the_cap_holds_for_whole_buffered_lines() {
+        let mut buffer = LineBuffer::new(4);
+        buffer
+            .fill(&mut &b"abcd\nabcde\nabcd\r\nabcde\r\n\r\n"[..])
+            .unwrap();
+        let mut out = Vec::new();
+        drain(&mut buffer, &mut out);
+        let abcd = Some(b"abcd".to_vec());
+        assert_eq!(out, vec![abcd.clone(), None, abcd, None, Some(Vec::new())]);
+        assert!(buffer.tail().is_empty());
+    }
+
+    #[test]
+    fn an_endless_line_is_dropped_as_it_arrives() {
+        let mut buffer = LineBuffer::new(8);
+        for _ in 0..100 {
+            buffer.fill(&mut &[b'x'; 1000][..]).unwrap();
+            assert_eq!(buffer.next_frame(), None);
+            assert!(buffer.is_discarding());
+            assert!(buffer.buf.len() <= READ_CHUNK, "dropped bytes are not kept");
+        }
+        buffer.fill(&mut &b"x\nok\n"[..]).unwrap();
+        assert_eq!(buffer.next_frame(), Some(Frame::TooLong));
+        let Some(Frame::Line(range)) = buffer.next_frame() else {
+            panic!("the line after an over-cap line is framed");
+        };
+        assert_eq!(buffer.bytes(range), b"ok");
+    }
+
+    #[test]
+    fn fill_reads_from_any_source() {
+        let mut buffer = LineBuffer::new(16);
+        let mut source: &[u8] = b"one\ntwo\nthr";
+        assert_eq!(buffer.fill(&mut source).unwrap(), 11);
+        let mut out = Vec::new();
+        drain(&mut buffer, &mut out);
+        assert_eq!(out, vec![Some(b"one".to_vec()), Some(b"two".to_vec())]);
+        assert_eq!(buffer.tail(), b"thr");
+        assert_eq!(buffer.fill(&mut source).unwrap(), 0);
+    }
+}

@@ -13,6 +13,8 @@
 //!   panic.
 //! * [`admission`] — bounded admission with immediate load-shedding
 //!   (`overloaded`), a per-connection in-flight cap, and counters.
+//! * [`framing`] — newline framing under the line cap, linear in the
+//!   bytes read and independent of how they were chunked.
 //! * [`server`] — the daemon: thread-per-connection accept loop,
 //!   per-connection writer threads (responses in completion order, so
 //!   clients may pipeline), graceful drain that answers everything
@@ -35,6 +37,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod framing;
 mod metrics;
 pub mod protocol;
 pub mod server;

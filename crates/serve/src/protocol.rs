@@ -53,10 +53,13 @@
 //! `stats`, `{"pong":true}` for `ping`, `{"draining":true}` for
 //! `shutdown`. Error codes are enumerated by [`ErrorCode`].
 
+use repliflow_core::instance::ProblemInstance;
 use repliflow_multicrit::{FrontEnginePref, FrontReport};
 use repliflow_solver::{EnginePref, Quality, SolveError, SolveReport};
-use serde::{Deserialize, Value};
-use serde_json::parse_value;
+use serde::de::JsonParser;
+use serde::Value;
+use serde_json::{from_str_streaming, parse_value};
+use std::borrow::Cow;
 
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: i128 = 1;
@@ -148,7 +151,7 @@ impl std::fmt::Display for ErrorCode {
 #[derive(Clone, Debug)]
 pub struct SolveBody {
     /// The instance, exactly as the `solve` CLI accepts it.
-    pub instance: repliflow_core::instance::ProblemInstance,
+    pub instance: ProblemInstance,
     /// Engine routing preference (default `auto`).
     pub engine: EnginePref,
     /// Heuristic effort tier (default `balanced`), applied on top of
@@ -167,7 +170,7 @@ pub struct ParetoBody {
     /// The instance whose (period, latency) front to trace; its
     /// `objective` field is ignored (see
     /// [`repliflow_multicrit::FrontRequest`]).
-    pub instance: repliflow_core::instance::ProblemInstance,
+    pub instance: ProblemInstance,
     /// Front engine routing preference (default `auto`).
     pub engine: FrontEnginePref,
     /// Heuristic effort tier applied to every inner solve (default
@@ -232,31 +235,96 @@ fn valid_id(v: &Value) -> bool {
     matches!(v, Value::String(_) | Value::Int(_))
 }
 
+/// One top-level field of a request line, as the single scan left it.
+enum Field<'a> {
+    /// A small field, parsed into a tree.
+    Value(Value),
+    /// The `instance` field: the text of its value, decoded straight
+    /// into a [`ProblemInstance`] once every other check has passed.
+    Instance(&'a str),
+}
+
+/// The top-level fields of a request object, in line order.
+type Fields<'a> = Vec<(Cow<'a, str>, Field<'a>)>;
+
+/// Scans a request line once: its top-level fields, or `None` when the
+/// line is well-formed JSON but not an object.
+fn scan_fields(line: &str) -> Result<Option<Fields<'_>>, serde::de::Error> {
+    let mut parser = JsonParser::new(line);
+    if parser.peek() != Some(b'{') {
+        parser.skip_value()?;
+        parser.end()?;
+        return Ok(None);
+    }
+    parser.begin_object()?;
+    let mut fields = Vec::new();
+    let mut first = true;
+    while let Some(key) = parser.object_next(first)? {
+        first = false;
+        let field = if key == "instance" {
+            parser.peek();
+            let start = parser.position();
+            parser.skip_value()?;
+            let text = line
+                .get(start..parser.position())
+                .ok_or_else(|| serde::de::Error::custom("instance span is not valid UTF-8"))?;
+            Field::Instance(text)
+        } else {
+            Field::Value(parser.parse_value_tree()?)
+        };
+        fields.push((key, field));
+    }
+    parser.end()?;
+    Ok(Some(fields))
+}
+
 /// Parses one request line. On failure the returned [`ParseFailure`]
 /// still carries the request id whenever the line was well-formed
 /// enough to contain one, so the error envelope stays matchable.
+///
+/// The line is scanned once: small fields become [`Value`]s, while the
+/// `instance` value (nearly all of a large request) is only skipped
+/// over and then decoded straight from its text, with no tree in
+/// between. Checks run in a fixed order — JSON syntax, object shape,
+/// version, id, verb, unknown fields, then the instance and the
+/// remaining fields — so each error envelope is the same whatever the
+/// field order on the line.
 pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
-    let root = parse_value(line).map_err(|e| {
-        ParseFailure::new(
-            Value::Null,
-            ErrorCode::BadRequest,
-            format!("malformed JSON: {e}"),
-        )
-    })?;
-    let Value::Object(fields) = &root else {
-        return Err(ParseFailure::new(
-            Value::Null,
-            ErrorCode::BadRequest,
-            "request must be a JSON object",
-        ));
+    let fields = match scan_fields(line) {
+        Ok(Some(fields)) => fields,
+        Ok(None) => {
+            return Err(ParseFailure::new(
+                Value::Null,
+                ErrorCode::BadRequest,
+                "request must be a JSON object",
+            ));
+        }
+        Err(e) => {
+            return Err(ParseFailure::new(
+                Value::Null,
+                ErrorCode::BadRequest,
+                format!("malformed JSON: {e}"),
+            ));
+        }
     };
+    // Duplicate keys: the first occurrence wins, as in a tree lookup.
+    let field = |name: &str| {
+        fields.iter().find_map(|(key, field)| match field {
+            Field::Value(value) if key == name => Some(value),
+            _ => None,
+        })
+    };
+    let instance_text = fields.iter().find_map(|(_, field)| match field {
+        Field::Instance(text) => Some(*text),
+        Field::Value(_) => None,
+    });
     // Best-effort id for error envelopes from here on.
-    let id = match root.field("id") {
+    let id = match field("id") {
         Some(v) if valid_id(v) => v.clone(),
         _ => Value::Null,
     };
     let fail = |code, message: String| Err(ParseFailure::new(id.clone(), code, message));
-    match root.field("v") {
+    match field("v") {
         Some(v) if v.as_int() == Some(PROTOCOL_VERSION) => {}
         Some(v) => {
             return fail(
@@ -279,7 +347,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             "missing or invalid `id` (string or integer required)".to_string(),
         );
     }
-    let Some(verb) = root.field("verb").and_then(Value::as_str) else {
+    let Some(verb) = field("verb").and_then(Value::as_str) else {
         return fail(ErrorCode::BadRequest, "missing `verb` string".to_string());
     };
     let allowed: &[&str] = match verb {
@@ -301,11 +369,11 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             return fail(ErrorCode::BadRequest, format!("unknown verb `{other}`"));
         }
     };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
+    for (key, _) in &fields {
+        if !allowed.contains(&key.as_ref()) {
             // Point a misplaced-but-known field at the verb it belongs
             // to instead of calling it unknown.
-            let hint = match key.as_str() {
+            let hint = match key.as_ref() {
                 "deadline_ms" => format!(" (only valid on verb `solve`, not `{verb}`)"),
                 "points" => format!(" (only valid on verb `pareto`, not `{verb}`)"),
                 "instance" | "engine" | "quality" | "validate" => {
@@ -319,67 +387,29 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             );
         }
     }
+    let bad = |message: String| ParseFailure::new(id.clone(), ErrorCode::BadRequest, message);
     let verb = match verb {
         "stats" => Verb::Stats,
         "ping" => Verb::Ping,
         "shutdown" => Verb::Shutdown,
         "pareto" => {
-            let Some(instance_value) = root.field("instance") else {
-                return fail(
-                    ErrorCode::BadRequest,
-                    "verb `pareto` requires an `instance` object".to_string(),
-                );
-            };
-            let instance =
-                match repliflow_core::instance::ProblemInstance::deserialize(instance_value) {
-                    Ok(instance) => instance,
-                    Err(e) => {
-                        return fail(ErrorCode::BadRequest, format!("invalid instance: {e}"));
-                    }
-                };
-            let engine = match root.field("engine") {
+            let instance = instance_of(instance_text, verb).map_err(bad)?;
+            let engine = match field("engine") {
                 None => FrontEnginePref::Auto,
-                Some(v) => match v.as_str().and_then(FrontEnginePref::parse) {
-                    Some(engine) => engine,
-                    None => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid front `engine` {v:?} (auto|exact|sweep)"),
-                        );
-                    }
-                },
+                Some(v) => v.as_str().and_then(FrontEnginePref::parse).ok_or_else(|| {
+                    bad(format!("invalid front `engine` {v:?} (auto|exact|sweep)"))
+                })?,
             };
-            let quality = match root.field("quality") {
-                None => Quality::Balanced,
-                Some(v) => match v.as_str().and_then(Quality::parse) {
-                    Some(quality) => quality,
-                    None => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid `quality` {v:?} (fast|balanced|thorough)"),
-                        );
-                    }
-                },
-            };
-            let validate = match root.field("validate") {
-                None => true,
-                Some(Value::Bool(b)) => *b,
-                Some(v) => {
-                    return fail(
-                        ErrorCode::BadRequest,
-                        format!("invalid `validate` {v:?} (boolean required)"),
-                    );
-                }
-            };
-            let points = match root.field("points") {
+            let quality = quality_of(field("quality")).map_err(bad)?;
+            let validate = validate_of(field("validate")).map_err(bad)?;
+            let points = match field("points") {
                 None => None,
                 Some(v) => match v.as_int() {
                     Some(n) if (1..=u32::MAX as i128).contains(&n) => Some(n as usize),
                     _ => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid `points` {v:?} (positive integer required)"),
-                        );
+                        return Err(bad(format!(
+                            "invalid `points` {v:?} (positive integer required)"
+                        )));
                     }
                 },
             };
@@ -392,62 +422,25 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             }))
         }
         _solve => {
-            let Some(instance_value) = root.field("instance") else {
-                return fail(
-                    ErrorCode::BadRequest,
-                    "verb `solve` requires an `instance` object".to_string(),
-                );
-            };
-            let instance =
-                match repliflow_core::instance::ProblemInstance::deserialize(instance_value) {
-                    Ok(instance) => instance,
-                    Err(e) => {
-                        return fail(ErrorCode::BadRequest, format!("invalid instance: {e}"));
-                    }
-                };
-            let engine = match root.field("engine") {
+            let instance = instance_of(instance_text, verb).map_err(bad)?;
+            let engine = match field("engine") {
                 None => EnginePref::Auto,
-                Some(v) => match v.as_str().and_then(EnginePref::parse) {
-                    Some(engine) => engine,
-                    None => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid `engine` {v:?} (auto|exact|heuristic|paper|comm-bb)"),
-                        );
-                    }
-                },
+                Some(v) => v.as_str().and_then(EnginePref::parse).ok_or_else(|| {
+                    bad(format!(
+                        "invalid `engine` {v:?} (auto|exact|heuristic|paper|comm-bb)"
+                    ))
+                })?,
             };
-            let quality = match root.field("quality") {
-                None => Quality::Balanced,
-                Some(v) => match v.as_str().and_then(Quality::parse) {
-                    Some(quality) => quality,
-                    None => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid `quality` {v:?} (fast|balanced|thorough)"),
-                        );
-                    }
-                },
-            };
-            let validate = match root.field("validate") {
-                None => true,
-                Some(Value::Bool(b)) => *b,
-                Some(v) => {
-                    return fail(
-                        ErrorCode::BadRequest,
-                        format!("invalid `validate` {v:?} (boolean required)"),
-                    );
-                }
-            };
-            let deadline_ms = match root.field("deadline_ms") {
+            let quality = quality_of(field("quality")).map_err(bad)?;
+            let validate = validate_of(field("validate")).map_err(bad)?;
+            let deadline_ms = match field("deadline_ms") {
                 None => None,
                 Some(v) => match v.as_int() {
                     Some(ms) if (0..=u64::MAX as i128).contains(&ms) => Some(ms as u64),
                     _ => {
-                        return fail(
-                            ErrorCode::BadRequest,
-                            format!("invalid `deadline_ms` {v:?} (non-negative integer required)"),
-                        );
+                        return Err(bad(format!(
+                            "invalid `deadline_ms` {v:?} (non-negative integer required)"
+                        )));
                     }
                 },
             };
@@ -461,6 +454,32 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
         }
     };
     Ok(WireRequest { id, verb })
+}
+
+/// Decodes the `instance` value of a `solve` or `pareto` request.
+fn instance_of(text: Option<&str>, verb: &str) -> Result<ProblemInstance, String> {
+    let text = text.ok_or_else(|| format!("verb `{verb}` requires an `instance` object"))?;
+    from_str_streaming(text).map_err(|e| format!("invalid instance: {e}"))
+}
+
+/// The `quality` field (default `balanced`).
+fn quality_of(value: Option<&Value>) -> Result<Quality, String> {
+    match value {
+        None => Ok(Quality::Balanced),
+        Some(v) => v
+            .as_str()
+            .and_then(Quality::parse)
+            .ok_or_else(|| format!("invalid `quality` {v:?} (fast|balanced|thorough)")),
+    }
+}
+
+/// The `validate` field (default true).
+fn validate_of(value: Option<&Value>) -> Result<bool, String> {
+    match value {
+        None => Ok(true),
+        Some(Value::Bool(b)) => Ok(*b),
+        Some(v) => Err(format!("invalid `validate` {v:?} (boolean required)")),
+    }
 }
 
 /// Renders a success response line (without the trailing newline).

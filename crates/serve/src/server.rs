@@ -27,8 +27,10 @@
 //! Drain is requested by SIGINT/SIGTERM (when
 //! [`ServerConfig::honor_process_signals`] is set), by the protocol
 //! `shutdown` verb, or by [`ServerHandle::shutdown`]. The server then
-//! 1. stops accepting (the listener closes — new connects are
-//!    refused),
+//! 1. stops accepting: the request wakes the accept loop out of its
+//!    blocking `accept` by connecting to the listener once, a
+//!    connection accepted from then on is dropped unserved, and the
+//!    listener closes — new connects are refused,
 //! 2. stops reading new requests on every connection,
 //! 3. answers every already-admitted request (each reader drops its
 //!    channel sender and joins its writer, which drains the in-flight
@@ -41,6 +43,7 @@
 //! after the queue is empty.
 
 use crate::admission::{Admission, AdmissionConfig};
+use crate::framing::{Frame, LineBuffer};
 use crate::protocol::{
     err_response, front_to_wire, ok_response, parse_request, report_to_wire, ErrorCode, Verb,
     DEFAULT_MAX_LINE_BYTES,
@@ -52,17 +55,25 @@ use repliflow_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering}
 use repliflow_sync::sync::{mpsc, Arc};
 use repliflow_sync::thread::JoinHandle;
 use serde::Value;
-use std::io::{BufWriter, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufWriter, ErrorKind, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Default TCP port of the daemon.
 pub const DEFAULT_PORT: u16 = 7473;
 
-/// How long blocked reads and idle accept polls sleep before
-/// re-checking the drain flag — the upper bound on how stale a drain
-/// request can go unnoticed.
+/// The read timeout of a connection waiting for its next request, and
+/// so the bound on how long a parked connection takes to notice a
+/// drain. The accept loop does not poll: it blocks in `accept`, and a
+/// drain request wakes it (see [`ServerShared::request_drain`]). The
+/// interval also paces the signal watcher thread and the back-off
+/// after a failed `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long the drain wake-up connect may take before it gives up.
+/// Loopback connects to a listening socket complete at once; the bound
+/// only matters when the accept backlog is full.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Everything configurable about a [`Server`].
 #[derive(Clone, Debug)]
@@ -73,8 +84,8 @@ pub struct ServerConfig {
     /// Admission limits (global queue depth, per-connection in-flight
     /// cap).
     pub admission: AdmissionConfig,
-    /// Request line length cap in bytes; longer lines are answered
-    /// with `line_too_long` and skipped.
+    /// Request line length cap in bytes (terminator excluded); longer
+    /// lines are answered with `line_too_long` and skipped.
     pub max_line_bytes: usize,
     /// Worker threads for the shared solver service (`None`: available
     /// parallelism).
@@ -118,6 +129,9 @@ impl Default for ServerConfig {
 pub(crate) struct ServerShared {
     pub(crate) admission: Arc<Admission>,
     draining: AtomicBool,
+    /// Where the drain wake-up connects: the listener's own address,
+    /// with a wildcard bind mapped to loopback.
+    wake_addr: SocketAddr,
     honor_signals: bool,
     pub(crate) started: Instant,
     pub(crate) connections_total: AtomicU64,
@@ -130,6 +144,16 @@ impl ServerShared {
     /// Whether drain has been requested through any channel.
     pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || (self.honor_signals && signal::drain_requested())
+    }
+
+    /// Raises the drain flag and wakes the accept loop: the first
+    /// request connects once to the listener, so the blocked `accept`
+    /// returns, sees the flag and drops that connection. Later requests
+    /// only find the flag raised.
+    pub(crate) fn request_drain(&self) {
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
     }
 }
 
@@ -144,7 +168,7 @@ impl ServerHandle {
     /// Requests a graceful drain: stop accepting, answer everything
     /// admitted, return from [`Server::run`].
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.request_drain();
     }
 
     /// Whether drain has been requested.
@@ -168,7 +192,13 @@ impl Server {
     /// solve.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let mut builder = SolverService::builder()
             .cache_capacity(config.cache_capacity)
             .cache_shards(config.cache_shards)
@@ -192,6 +222,7 @@ impl Server {
             shared: Arc::new(ServerShared {
                 admission: Admission::new(config.admission),
                 draining: AtomicBool::new(false),
+                wake_addr,
                 honor_signals: config.honor_process_signals,
                 started: Instant::now(),
                 connections_total: AtomicU64::new(0),
@@ -234,9 +265,30 @@ impl Server {
             front,
             shared,
         } = self;
+        // SIGINT/SIGTERM only raise a flag (and glibc's `signal()`
+        // restarts an interrupted `accept`), so a watcher thread turns
+        // a signal into a drain request that wakes the accept.
+        let signal_watcher = if shared.honor_signals {
+            let shared = Arc::clone(&shared);
+            Some(
+                repliflow_sync::thread::Builder::new()
+                    .name("repliflow-serve-signal".into())
+                    .spawn(move || {
+                        while !shared.draining() {
+                            repliflow_sync::thread::sleep(POLL_INTERVAL);
+                        }
+                        shared.request_drain();
+                    })?,
+            )
+        } else {
+            None
+        };
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         while !shared.draining() {
             match listener.accept() {
+                // The drain wake-up, or a client that lost the race
+                // with a drain: dropped unserved.
+                Ok(_) if shared.draining() => break,
                 Ok((stream, _peer)) => {
                     // relaxed: gauge/counter metrics only — nothing is
                     // ordered against these loads, stats() tolerates a
@@ -269,20 +321,24 @@ impl Server {
                     // daemon's handle list doesn't grow without bound.
                     connections.retain(|h| !h.is_finished());
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    repliflow_sync::thread::sleep(POLL_INTERVAL);
-                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Transient accept errors (e.g. a connection reset
-                // between accept queue and accept) must not kill the
-                // daemon.
+                // between accept queue and accept, or running out of
+                // file descriptors) must not kill the daemon; back off
+                // instead of spinning on them.
                 Err(_) => repliflow_sync::thread::sleep(POLL_INTERVAL),
             }
         }
+        // A drain seen through the signal flag alone still raises the
+        // server's own flag, so later requests need not wake anything.
+        shared.draining.store(true, Ordering::SeqCst);
         // Drain: close the listener first (new connects are refused),
         // then wait for every connection to answer its admitted
         // requests and hang up.
         drop(listener);
+        if let Some(watcher) = signal_watcher {
+            let _ = watcher.join();
+        }
         for handle in connections {
             let _ = handle.join();
         }
@@ -291,9 +347,10 @@ impl Server {
 }
 
 /// Outcome of one bounded line read.
-enum Line {
-    /// A complete line (without the terminator).
-    Full(String),
+enum Line<'a> {
+    /// A complete line (without the terminator), borrowed from the
+    /// reader's buffer.
+    Full(&'a [u8]),
     /// The line exceeded the cap; it was consumed and discarded.
     TooLong,
     /// Clean end of stream (or an unterminated trailing fragment).
@@ -304,15 +361,13 @@ enum Line {
     Failed,
 }
 
-/// A newline-delimited reader with a hard per-line byte cap and
-/// drain-aware blocking: reads use a short timeout so a parked
-/// connection notices a drain request within [`POLL_INTERVAL`].
+/// A connection's request reader: [`LineBuffer`] framing over the
+/// socket, with drain-aware blocking — reads time out after
+/// [`POLL_INTERVAL`] so a parked connection notices a drain request.
 struct LineReader<'a> {
     stream: TcpStream,
     shared: &'a ServerShared,
-    pending: Vec<u8>,
-    /// Set while consuming the remainder of an over-cap line.
-    discarding: bool,
+    buffer: LineBuffer,
 }
 
 impl<'a> LineReader<'a> {
@@ -320,51 +375,20 @@ impl<'a> LineReader<'a> {
         LineReader {
             stream,
             shared,
-            pending: Vec::new(),
-            discarding: false,
+            buffer: LineBuffer::new(shared.max_line_bytes),
         }
     }
 
-    fn next_line(&mut self) -> Line {
-        let mut chunk = [0u8; 4096];
+    fn next_line(&mut self) -> Line<'_> {
         loop {
-            // Hand out a complete buffered line first.
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                line.pop(); // the \n
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                if self.discarding {
-                    self.discarding = false;
-                    return Line::TooLong;
-                }
-                return match String::from_utf8(line) {
-                    Ok(s) => Line::Full(s),
-                    // surfaced as a parse failure by the caller
-                    Err(_) => Line::Full("\u{fffd}".into()),
-                };
+            match self.buffer.next_frame() {
+                Some(Frame::Line(range)) => return Line::Full(self.buffer.bytes(range)),
+                Some(Frame::TooLong) => return Line::TooLong,
+                None => {}
             }
-            // Over-cap partial line: switch to discard mode, keep
-            // consuming until its newline goes by.
-            if self.pending.len() > self.shared.max_line_bytes {
-                self.pending.clear();
-                self.discarding = true;
-            }
-            match self.stream.read(&mut chunk) {
+            match self.buffer.fill(&mut self.stream) {
                 Ok(0) => return Line::Eof,
-                Ok(n) => {
-                    if self.discarding {
-                        // only the terminator matters; retain the tail
-                        // after it for the next request
-                        if let Some(pos) = chunk[..n].iter().position(|&b| b == b'\n') {
-                            self.pending.extend_from_slice(&chunk[..=pos]);
-                            self.pending.extend_from_slice(&chunk[pos + 1..n]);
-                        }
-                    } else {
-                        self.pending.extend_from_slice(&chunk[..n]);
-                    }
-                }
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if self.shared.draining() {
                         return Line::Draining;
@@ -426,11 +450,13 @@ fn handle_connection(
             break;
         }
         match reader.next_line() {
-            Line::Full(line) => {
+            Line::Full(bytes) => {
+                // invalid UTF-8 surfaces as a parse failure
+                let line = std::str::from_utf8(bytes).unwrap_or("\u{fffd}");
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(&line, service, front, shared, &conn_inflight, &tx);
+                handle_line(line, service, front, shared, &conn_inflight, &tx);
             }
             Line::TooLong => {
                 let _ = tx.send(err_response(
@@ -486,7 +512,7 @@ fn handle_line(
                 &id,
                 Value::Object(vec![("draining".into(), Value::Bool(true))]),
             ));
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.request_drain();
         }
         Verb::Solve(body) => {
             if shared.draining() {

@@ -3,11 +3,16 @@
 //! The build environment vendors no `libc`, so the daemon declares the
 //! one POSIX symbol it needs itself: `signal(2)`. The installed
 //! handler does the only thing that is async-signal-safe here — store
-//! into a process-global [`AtomicBool`] — and the server's accept and
-//! connection loops poll that flag alongside their own drain flag.
-//! This is the classic self-pipe trick minus the pipe: every loop
-//! already wakes on a short timeout (non-blocking accept poll, read
-//! timeouts), so a flag is all the wake-up machinery required.
+//! into a process-global [`AtomicBool`].
+//!
+//! A flag alone does not wake a thread blocked in a system call, and
+//! glibc's `signal()` installs handlers with `SA_RESTART`, so a signal
+//! does not even interrupt the accept loop's blocking `accept`. When
+//! [`ServerConfig::honor_process_signals`] is set, the server therefore
+//! runs a small watcher thread that polls [`drain_requested`] and turns
+//! a signal into the same drain request as [`ServerHandle::shutdown`],
+//! which wakes the `accept`. Connection threads need no watcher: their
+//! reads time out periodically and check the flag themselves.
 //!
 //! Only the daemon binary installs the handlers
 //! ([`install_handlers`]); the library and its tests drive drain
@@ -15,10 +20,12 @@
 //! state.
 //!
 //! [`ServerHandle::shutdown`]: crate::server::ServerHandle::shutdown
+//! [`ServerConfig::honor_process_signals`]: crate::server::ServerConfig::honor_process_signals
 
 use repliflow_sync::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler on SIGINT/SIGTERM; polled by the server loops.
+/// Set by the handler on SIGINT/SIGTERM; polled by the signal watcher
+/// and the connection loops.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// `SIGINT` on every platform this repo targets.

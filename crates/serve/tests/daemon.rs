@@ -432,6 +432,38 @@ fn broken_input_gets_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn an_over_cap_line_arriving_whole_in_one_read_is_line_too_long() {
+    let (addr, handle, join) = start(ServerConfig {
+        max_line_bytes: 1024,
+        ..ServerConfig::default()
+    });
+    // One write: the over-cap line, its newline and a follow-up ping all
+    // land in the daemon's first read, so the cap must hold for a line
+    // that is already whole in the buffer.
+    let big = format!(
+        r#"{{"v":1,"id":"big","verb":"ping","pad":"{}"}}"#,
+        "x".repeat(2000)
+    );
+    let payload = format!("{big}\n{{\"v\":1,\"id\":\"alive\",\"verb\":\"ping\"}}\n");
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream.write_all(payload.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response read");
+        parse_value(line.trim_end()).expect("response parses")
+    };
+    let first = read();
+    assert_eq!(err_code(&first), Some("line_too_long"), "{first:?}");
+    assert_eq!(first.field("id"), Some(&Value::Null));
+    let second = read();
+    assert_eq!(second.field("id"), Some(&Value::String("alive".into())));
+    assert_eq!(err_code(&second), None);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
 fn stats_snapshot_reports_counters_cache_and_percentiles() {
     let (addr, handle, join) = start(ServerConfig::default());
     let mut client = RemoteClient::connect(addr).expect("client connects");

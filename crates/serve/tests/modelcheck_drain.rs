@@ -12,7 +12,8 @@
 //! gets exactly one response** (a solve answer, a shed, or a drain
 //! refusal; never silence), every admitted request completes, and the
 //! writer drains its queue after the senders hang up, in every
-//! bounded-preemption interleaving.
+//! bounded-preemption interleaving. A last model checks that a drain
+//! request always wakes the accept loop blocked in `accept`.
 #![cfg(loom)]
 
 use repliflow_serve::admission::{Admission, AdmissionConfig};
@@ -172,4 +173,62 @@ fn writer_drains_queued_answers_after_reader_exit() {
     .schedules;
     eprintln!("drain_writer: {schedules} schedules");
     assert!(schedules >= 2, "explored only {schedules} schedules");
+}
+
+#[test]
+fn a_drain_request_wakes_the_blocked_accept() {
+    let schedules = loom::Builder {
+        max_preemptions: 2,
+        max_schedules: 50_000,
+    }
+    .model(|| {
+        // `Server::run` blocks in `accept`; `request_drain` raises the
+        // flag, then connects once so the `accept` returns. Modelled
+        // with the listener's backlog as a channel: a connect is a
+        // send, `accept` a blocking `recv`. The backlog stays open (the
+        // listener lives until the loop exits), so a lost wake-up
+        // shows up as a deadlock.
+        let draining = Arc::new(AtomicBool::new(false));
+        let (backlog, listener) = mpsc::channel::<&'static str>();
+        let accept_loop = {
+            let draining = Arc::clone(&draining);
+            thread::spawn(move || {
+                let mut served = Vec::new();
+                while !draining.load(Ordering::SeqCst) {
+                    match listener.recv() {
+                        // accepted after drain was requested: dropped
+                        Ok(_) if draining.load(Ordering::SeqCst) => break,
+                        Ok(conn) => served.push(conn),
+                        Err(_) => break,
+                    }
+                }
+                served
+            })
+        };
+        // A client connecting while the drain is requested.
+        let client = {
+            let backlog = backlog.clone();
+            thread::spawn(move || {
+                let _ = backlog.send("client");
+            })
+        };
+        // `request_drain`: only the request that raises the flag wakes.
+        if !draining.swap(true, Ordering::SeqCst) {
+            let _ = backlog.send("wake");
+        }
+        assert!(
+            draining.swap(true, Ordering::SeqCst),
+            "a second request finds the flag raised and connects nowhere"
+        );
+        let served = accept_loop.join().expect("accept loop exits");
+        client.join().expect("client joins");
+        assert!(
+            !served.contains(&"wake"),
+            "the wake-up connection was served"
+        );
+        drop(backlog);
+    })
+    .schedules;
+    eprintln!("drain_accept_wake: {schedules} schedules");
+    assert!(schedules >= 4, "explored only {schedules} schedules");
 }
