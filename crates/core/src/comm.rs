@@ -140,6 +140,12 @@ impl Network {
         self.node_capacity
     }
 
+    /// The raw bandwidth tables: processor links, `P_in` links and
+    /// `P_out` links.
+    pub(crate) fn bandwidth_tables(&self) -> (&[Vec<u64>], &[u64], &[u64]) {
+        (&self.proc_bw, &self.input_bw, &self.output_bw)
+    }
+
     /// Bandwidth between two endpoints.
     ///
     /// Transfers between identical endpoints are free (`+∞` bandwidth is

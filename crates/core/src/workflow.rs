@@ -94,6 +94,11 @@ impl Pipeline {
         self.data_sizes[k]
     }
 
+    /// All data sizes `δ_0 .. δ_n`.
+    pub(crate) fn data_sizes(&self) -> &[u64] {
+        &self.data_sizes
+    }
+
     /// Sum of weights over the stage interval `lo ..= hi` (inclusive).
     pub fn interval_work(&self, lo: usize, hi: usize) -> u64 {
         self.weights[lo..=hi].iter().sum()
@@ -231,6 +236,11 @@ impl Fork {
     #[inline]
     pub fn output_size(&self, stage: usize) -> u64 {
         self.output_sizes[stage - 1]
+    }
+
+    /// All leaf output sizes `δ_1 .. δ_n`.
+    pub(crate) fn output_sizes(&self) -> &[u64] {
+        &self.output_sizes
     }
 
     /// Total work of one data set: `w_0 + Σ w_i`.

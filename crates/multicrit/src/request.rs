@@ -104,7 +104,7 @@ impl FrontRequest {
     pub fn fingerprint(&self) -> InstanceFingerprint {
         let mut hasher = Fingerprinter::new();
         hasher.write_str("repliflow-multicrit/front/v1");
-        hasher.write_serialized(&self.instance);
+        hasher.write_instance(&self.instance);
         hasher.write_tag(match self.engine {
             FrontEnginePref::Auto => 0,
             FrontEnginePref::Exact => 1,

@@ -57,8 +57,9 @@ use repliflow_core::instance::ProblemInstance;
 use repliflow_multicrit::{FrontEnginePref, FrontReport};
 use repliflow_solver::{EnginePref, Quality, SolveError, SolveReport};
 use serde::de::JsonParser;
+use serde::DeserializeStream;
 use serde::Value;
-use serde_json::{from_str_streaming, parse_value};
+use serde_json::parse_value;
 use std::borrow::Cow;
 
 /// The one protocol version this build speaks.
@@ -236,20 +237,26 @@ fn valid_id(v: &Value) -> bool {
 }
 
 /// One top-level field of a request line, as the single scan left it.
-enum Field<'a> {
+enum Field {
     /// A small field, parsed into a tree.
     Value(Value),
-    /// The `instance` field: the text of its value, decoded straight
-    /// into a [`ProblemInstance`] once every other check has passed.
-    Instance(&'a str),
+    /// An `instance` field; its value is in [`Scan::instance`] (the
+    /// first occurrence) or was skipped (a duplicate).
+    Instance,
 }
 
-/// The top-level fields of a request object, in line order.
-type Fields<'a> = Vec<(Cow<'a, str>, Field<'a>)>;
+/// What the single scan of a request object found.
+struct Scan<'a> {
+    /// The top-level fields, in line order.
+    fields: Vec<(Cow<'a, str>, Field)>,
+    /// The first `instance` value, decoded during the scan, or its
+    /// decode error (reported only once every earlier check passed).
+    instance: Option<Result<ProblemInstance, String>>,
+}
 
 /// Scans a request line once: its top-level fields, or `None` when the
 /// line is well-formed JSON but not an object.
-fn scan_fields(line: &str) -> Result<Option<Fields<'_>>, serde::de::Error> {
+fn scan_fields(line: &str) -> Result<Option<Scan<'_>>, serde::de::Error> {
     let mut parser = JsonParser::new(line);
     if parser.peek() != Some(b'{') {
         parser.skip_value()?;
@@ -257,41 +264,70 @@ fn scan_fields(line: &str) -> Result<Option<Fields<'_>>, serde::de::Error> {
         return Ok(None);
     }
     parser.begin_object()?;
-    let mut fields = Vec::new();
+    let mut scan = Scan {
+        fields: Vec::new(),
+        instance: None,
+    };
     let mut first = true;
     while let Some(key) = parser.object_next(first)? {
         first = false;
-        let field = if key == "instance" {
-            parser.peek();
-            let start = parser.position();
-            parser.skip_value()?;
-            let text = line
-                .get(start..parser.position())
-                .ok_or_else(|| serde::de::Error::custom("instance span is not valid UTF-8"))?;
-            Field::Instance(text)
-        } else {
+        let field = if key != "instance" {
             Field::Value(parser.parse_value_tree()?)
+        } else if scan.instance.is_some() {
+            // the first `instance` wins; a duplicate must still be JSON
+            parser.skip_value()?;
+            Field::Instance
+        } else {
+            scan.instance = Some(decode_instance(line, &mut parser)?);
+            Field::Instance
         };
-        fields.push((key, field));
+        scan.fields.push((key, field));
     }
     parser.end()?;
-    Ok(Some(fields))
+    Ok(Some(scan))
+}
+
+/// Decodes the `instance` value at the cursor, with a parser of its own
+/// over the rest of the line so error offsets count from the value's
+/// first byte. On success the cursor moves past the value. On a decode
+/// error the cursor skips the value instead: a JSON syntax error in it
+/// still fails the scan, and otherwise the decode error is returned
+/// for the checks that run after the scan.
+fn decode_instance(
+    line: &str,
+    parser: &mut JsonParser<'_>,
+) -> Result<Result<ProblemInstance, String>, serde::de::Error> {
+    parser.peek();
+    let start = parser.position();
+    let rest = line.get(start..).ok_or_else(|| {
+        serde::de::Error::custom("instance does not start on a character boundary")
+    })?;
+    let mut inner = JsonParser::new(rest);
+    match ProblemInstance::deserialize_stream(&mut inner) {
+        Ok(instance) => {
+            parser.seek(start + inner.position());
+            Ok(Ok(instance))
+        }
+        Err(e) => {
+            parser.skip_value()?;
+            Ok(Err(e.to_string()))
+        }
+    }
 }
 
 /// Parses one request line. On failure the returned [`ParseFailure`]
 /// still carries the request id whenever the line was well-formed
 /// enough to contain one, so the error envelope stays matchable.
 ///
-/// The line is scanned once: small fields become [`Value`]s, while the
-/// `instance` value (nearly all of a large request) is only skipped
-/// over and then decoded straight from its text, with no tree in
-/// between. Checks run in a fixed order — JSON syntax, object shape,
-/// version, id, verb, unknown fields, then the instance and the
-/// remaining fields — so each error envelope is the same whatever the
-/// field order on the line.
+/// The line is scanned once: small fields become [`Value`]s, and the
+/// `instance` value (nearly all of a large request) is decoded straight
+/// from the line during the same scan, with no tree in between. Checks
+/// run in a fixed order — JSON syntax, object shape, version, id, verb,
+/// unknown fields, then the instance and the remaining fields — so each
+/// error envelope is the same whatever the field order on the line.
 pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
-    let fields = match scan_fields(line) {
-        Ok(Some(fields)) => fields,
+    let Scan { fields, instance } = match scan_fields(line) {
+        Ok(Some(scan)) => scan,
         Ok(None) => {
             return Err(ParseFailure::new(
                 Value::Null,
@@ -314,10 +350,6 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             _ => None,
         })
     };
-    let instance_text = fields.iter().find_map(|(_, field)| match field {
-        Field::Instance(text) => Some(*text),
-        Field::Value(_) => None,
-    });
     // Best-effort id for error envelopes from here on.
     let id = match field("id") {
         Some(v) if valid_id(v) => v.clone(),
@@ -393,7 +425,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
         "ping" => Verb::Ping,
         "shutdown" => Verb::Shutdown,
         "pareto" => {
-            let instance = instance_of(instance_text, verb).map_err(bad)?;
+            let instance = instance_of(instance, verb).map_err(bad)?;
             let engine = match field("engine") {
                 None => FrontEnginePref::Auto,
                 Some(v) => v.as_str().and_then(FrontEnginePref::parse).ok_or_else(|| {
@@ -422,7 +454,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
             }))
         }
         _solve => {
-            let instance = instance_of(instance_text, verb).map_err(bad)?;
+            let instance = instance_of(instance, verb).map_err(bad)?;
             let engine = match field("engine") {
                 None => EnginePref::Auto,
                 Some(v) => v.as_str().and_then(EnginePref::parse).ok_or_else(|| {
@@ -456,10 +488,15 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
     Ok(WireRequest { id, verb })
 }
 
-/// Decodes the `instance` value of a `solve` or `pareto` request.
-fn instance_of(text: Option<&str>, verb: &str) -> Result<ProblemInstance, String> {
-    let text = text.ok_or_else(|| format!("verb `{verb}` requires an `instance` object"))?;
-    from_str_streaming(text).map_err(|e| format!("invalid instance: {e}"))
+/// The `instance` value of a `solve` or `pareto` request, as the scan
+/// decoded it.
+fn instance_of(
+    decoded: Option<Result<ProblemInstance, String>>,
+    verb: &str,
+) -> Result<ProblemInstance, String> {
+    decoded
+        .ok_or_else(|| format!("verb `{verb}` requires an `instance` object"))?
+        .map_err(|e| format!("invalid instance: {e}"))
 }
 
 /// The `quality` field (default `balanced`).
@@ -526,15 +563,23 @@ pub fn err_response(id: &Value, code: ErrorCode, message: &str) -> String {
 /// integration suite). The siblings carry serving metadata and float
 /// renderings that are excluded from the canonical form.
 ///
+/// The daemon renders the same line with [`report_ok_response`], which
+/// splices the canonical text in instead of building this tree.
+///
 /// [`canonical_json`]: SolveReport::canonical_json
 pub fn report_to_wire(report: &SolveReport) -> Value {
-    // canonical_json comes from our own serializer, so the parse cannot
-    // fail; if it ever did, ship the text as an opaque string instead
-    // of panicking the connection thread.
-    let canonical = match parse_value(&report.canonical_json()) {
-        Ok(value) => value,
-        Err(_) => Value::String(report.canonical_json()),
-    };
+    wire_object(report.canonical_text(), report_siblings(report))
+}
+
+/// `ok_response(id, report_to_wire(report))`, byte for byte, without
+/// parsing the report's canonical text back into a tree: the memoized
+/// text is copied into the line as it is.
+pub fn report_ok_response(id: &Value, report: &SolveReport) -> String {
+    ok_response_with_canonical(id, report.canonical_text(), report_siblings(report))
+}
+
+/// The fields of a solve payload after `canonical`.
+fn report_siblings(report: &SolveReport) -> Vec<(String, Value)> {
     let cell = match report.complexity {
         repliflow_core::instance::Complexity::Polynomial(thm) => format!("polynomial ({thm})"),
         repliflow_core::instance::Complexity::NpHard(thm) => format!("NP-hard ({thm})"),
@@ -543,8 +588,7 @@ pub fn report_to_wire(report: &SolveReport) -> Value {
         Some(v) => Value::Float(v.to_f64()),
         None => Value::Null,
     };
-    Value::Object(vec![
-        ("canonical".into(), canonical),
+    vec![
         ("cell".into(), Value::String(cell)),
         (
             "provenance".into(),
@@ -576,7 +620,7 @@ pub fn report_to_wire(report: &SolveReport) -> Value {
                 None => Value::Null,
             },
         ),
-    ])
+    ]
 }
 
 /// The `ok` payload of a pareto response. Mirrors [`report_to_wire`]:
@@ -586,15 +630,18 @@ pub fn report_to_wire(report: &SolveReport) -> Value {
 /// get bytes identical to an in-process front solve — and the siblings
 /// carry serving metadata the canonical form deliberately excludes.
 pub fn front_to_wire(report: &FrontReport) -> Value {
-    // Our own serializer produced the canonical text, so the parse
-    // cannot fail; ship it as an opaque string rather than panicking
-    // the connection thread if that ever changes.
-    let canonical = match parse_value(&report.canonical_json()) {
-        Ok(value) => value,
-        Err(_) => Value::String(report.canonical_json()),
-    };
-    Value::Object(vec![
-        ("canonical".into(), canonical),
+    wire_object(&report.canonical_json(), front_siblings(report))
+}
+
+/// `ok_response(id, front_to_wire(report))`, byte for byte, with the
+/// canonical text spliced in as [`report_ok_response`] does.
+pub fn front_ok_response(id: &Value, report: &FrontReport) -> String {
+    ok_response_with_canonical(id, &report.canonical_json(), front_siblings(report))
+}
+
+/// The fields of a pareto payload after `canonical`.
+fn front_siblings(report: &FrontReport) -> Vec<(String, Value)> {
+    vec![
         ("n_points".into(), Value::Int(report.points.len() as i128)),
         (
             "provenance".into(),
@@ -604,7 +651,52 @@ pub fn front_to_wire(report: &FrontReport) -> Value {
             "wall_time_ms".into(),
             Value::Float(report.wall_time.as_secs_f64() * 1e3),
         ),
-    ])
+    ]
+}
+
+/// A payload tree: `canonical` parsed from its text, then `siblings`.
+fn wire_object(canonical: &str, siblings: Vec<(String, Value)>) -> Value {
+    // The canonical text comes from our own serializer, so the parse
+    // cannot fail; if it ever did, ship the text as an opaque string
+    // instead of panicking the connection thread.
+    let canonical = parse_value(canonical).unwrap_or_else(|_| Value::String(canonical.into()));
+    let mut fields = vec![("canonical".into(), canonical)];
+    fields.extend(siblings);
+    Value::Object(fields)
+}
+
+/// The shared envelope of the spliced responses: the line
+/// `ok_response(id, wire_object(canonical, siblings))` renders, built
+/// by copying `canonical` (compact JSON from our own serializer, which
+/// a parse and re-render reproduces byte for byte) between the
+/// rendered envelope head and the rendered siblings.
+fn ok_response_with_canonical(
+    id: &Value,
+    canonical: &str,
+    siblings: Vec<(String, Value)>,
+) -> String {
+    let (Ok(id), Ok(siblings)) = (
+        serde_json::to_string(id),
+        serde_json::to_string(&Value::Object(siblings)),
+    ) else {
+        return fallback_error_line();
+    };
+    let mut line = String::with_capacity(32 + id.len() + canonical.len() + siblings.len());
+    line.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":"));
+    line.push_str(&id);
+    line.push_str(",\"ok\":{\"canonical\":");
+    line.push_str(canonical);
+    // `siblings` renders as `{...}`: its fields continue the payload
+    // object after `canonical`, and its `}` closes it.
+    match siblings.strip_prefix('{') {
+        Some(fields) if fields != "}" => {
+            line.push(',');
+            line.push_str(fields);
+        }
+        _ => line.push('}'),
+    }
+    line.push('}');
+    line
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@
 use crate::admission::{Admission, AdmissionConfig};
 use crate::framing::{Frame, LineBuffer};
 use crate::protocol::{
-    err_response, front_to_wire, ok_response, parse_request, report_to_wire, ErrorCode, Verb,
-    DEFAULT_MAX_LINE_BYTES,
+    err_response, front_ok_response, ok_response, parse_request, report_ok_response, ErrorCode,
+    Verb, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::{metrics, signal};
 use repliflow_multicrit::{FrontRequest, FrontSolver};
@@ -544,7 +544,7 @@ fn handle_line(
             let tx = tx.clone();
             service.solve_detached(solve, move |result| {
                 let response = match result {
-                    Ok(report) => ok_response(&id, report_to_wire(&report)),
+                    Ok(report) => report_ok_response(&id, &report),
                     Err(error) => {
                         let (code, message) = ErrorCode::of_solve_error(&error);
                         err_response(&id, code, &message)
@@ -597,7 +597,7 @@ fn handle_line(
                 .name("repliflow-serve-front".into())
                 .spawn(move || {
                     let response = match front.solve_front(&request) {
-                        Ok(report) => ok_response(&front_id, front_to_wire(&report)),
+                        Ok(report) => front_ok_response(&front_id, &report),
                         Err(error) => {
                             let (code, message) = ErrorCode::of_solve_error(&error);
                             err_response(&front_id, code, &message)

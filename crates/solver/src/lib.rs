@@ -74,7 +74,9 @@ pub use engine::{Engine, EngineRun};
 pub use engines::{HedgeStats, HedgedEngine};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use registry::EngineRegistry;
-pub use report::{FallbackReason, Optimality, Provenance, SearchStats, SolveError, SolveReport};
+pub use report::{
+    CanonicalMemo, FallbackReason, Optimality, Provenance, SearchStats, SolveError, SolveReport,
+};
 pub use request::{Budget, CancelToken, Deadline, EnginePref, Quality, SolveRequest};
 pub use service::{
     batch_threads, EngineWall, EscalationStats, ServiceStats, SolveStream, SolverBuilder,

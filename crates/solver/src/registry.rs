@@ -331,6 +331,7 @@ impl EngineRegistry {
                     fallback: None,
                     provenance: crate::report::Provenance::Computed,
                     wall_time: std::time::Duration::ZERO,
+                    canonical: Default::default(),
                 })
             }
             ReliabilityReduction::Trivial(objective) => {
@@ -433,6 +434,7 @@ impl EngineRegistry {
                 fallback,
                 provenance: crate::report::Provenance::Computed,
                 wall_time,
+                canonical: Default::default(),
             });
         };
 

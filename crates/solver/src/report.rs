@@ -5,6 +5,7 @@ use repliflow_algorithms::Solved;
 use repliflow_core::instance::{Complexity, CostModel, Variant};
 use repliflow_core::mapping::Mapping;
 use repliflow_core::rational::Rat;
+use repliflow_sync::sync::OnceLock;
 use std::fmt;
 use std::time::Duration;
 
@@ -207,6 +208,34 @@ pub struct SolveReport {
     /// Wall-clock time the engine spent **computing** the report (a
     /// cached report keeps its original compute time).
     pub wall_time: Duration,
+    /// Memo of [`SolveReport::canonical_json`]'s text, filled by its
+    /// first call. Build reports with `Default::default()` here;
+    /// a clone starts empty, so a struct-update copy
+    /// (`SolveReport { fallback, ..report.clone() }`) renders its own
+    /// text. Mutating a field after the first render is not tracked:
+    /// derive a new report instead.
+    pub canonical: CanonicalMemo,
+}
+
+/// The lazily rendered canonical text of one report (see
+/// [`SolveReport::canonical`]). Cloning yields an empty memo, never a
+/// copy of the text, so a copy whose fields then change cannot serve
+/// stale bytes.
+#[derive(Default)]
+pub struct CanonicalMemo(OnceLock<String>);
+
+impl Clone for CanonicalMemo {
+    fn clone(&self) -> CanonicalMemo {
+        CanonicalMemo::default()
+    }
+}
+
+impl fmt::Debug for CanonicalMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CanonicalMemo")
+            .field("filled", &self.0.get().is_some())
+            .finish()
+    }
 }
 
 impl SolveReport {
@@ -223,7 +252,21 @@ impl SolveReport {
     /// JSON (guarded by the determinism integration test); any
     /// divergence means an engine leaked nondeterminism into its
     /// result.
+    ///
+    /// The text is rendered once per report and memoized (see
+    /// [`SolveReport::canonical`]); [`SolveReport::canonical_text`]
+    /// borrows it without a copy.
     pub fn canonical_json(&self) -> String {
+        self.canonical_text().to_string()
+    }
+
+    /// The memoized text of [`SolveReport::canonical_json`], rendered
+    /// by the first call on this report.
+    pub fn canonical_text(&self) -> &str {
+        self.canonical.0.get_or_init(|| self.render_canonical())
+    }
+
+    fn render_canonical(&self) -> String {
         use serde_json::Value;
         let rat = |r: Option<Rat>| match r {
             Some(v) => Value::String(v.to_string()),
@@ -297,6 +340,7 @@ impl SolveReport {
             fallback: None,
             provenance: Provenance::Computed,
             wall_time,
+            canonical: CanonicalMemo::default(),
         }
     }
 }

@@ -438,7 +438,7 @@ impl SolveRequest {
     /// it.
     pub fn fingerprint(&self) -> InstanceFingerprint {
         let mut hasher = Fingerprinter::new();
-        hasher.write_serialized(&self.instance);
+        hasher.write_instance(&self.instance);
         hasher.write_tag(match self.engine {
             EnginePref::Auto => 0,
             EnginePref::Exact => 1,

@@ -9,7 +9,9 @@
 //! capacity-1 eviction races: whatever interleaving happens, a key a
 //! thread inserted and nobody evicted must hit, a hit must return the
 //! exact `Arc` some insert put there, and per-shard occupancy must
-//! never exceed per-shard capacity.
+//! never exceed per-shard capacity. A cached report's canonical text
+//! is memoized on first use, so the first renders of one shared entry
+//! may race: both must come back with the same text.
 #![cfg(loom)]
 
 use repliflow_solver::{Optimality, Provenance, SolveCache, SolveReport};
@@ -48,6 +50,7 @@ fn report(tag: u64) -> Arc<SolveReport> {
         fallback: None,
         provenance: Provenance::Computed,
         wall_time: Duration::from_millis(tag),
+        canonical: Default::default(),
     })
 }
 
@@ -149,4 +152,31 @@ fn sharded_cache_isolates_contention() {
     .schedules;
     eprintln!("sharded_isolation: {schedules} schedules");
     assert!(schedules >= 4, "explored only {schedules} schedules");
+}
+
+#[test]
+fn racing_first_canonical_renders_agree() {
+    let schedules = loom::Builder {
+        max_preemptions: 2,
+        max_schedules: 50_000,
+    }
+    .model(|| {
+        let cache = Arc::new(SolveCache::new(4));
+        cache.insert(key(1), report(3));
+        // Both threads take the entry's first `canonical_json()`: the
+        // memo is empty until one of them fills it.
+        let reader = {
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || cache.get(key(1)).expect("hit").canonical_json())
+        };
+        let mine = cache.get(key(1)).expect("hit").canonical_json();
+        let theirs = reader.join().expect("reader joins");
+        assert_eq!(mine, theirs, "racing renders disagree");
+        // a clone starts with an empty memo, so this is a fresh render
+        let fresh = (*cache.get(key(1)).expect("hit")).clone().canonical_json();
+        assert_eq!(mine, fresh, "the memo differs from a fresh render");
+    })
+    .schedules;
+    eprintln!("racing_first_canonical_renders: {schedules} schedules");
+    assert!(schedules >= 2, "explored only {schedules} schedules");
 }
