@@ -1,6 +1,7 @@
 //! `core_speed` — raw-speed trend for the wide-mask core refactor:
 //! comm-bb wall time at the old cap and beyond it, parallel root-branch
-//! speedup, and multi-megabyte instance-parse time.
+//! speedup, multi-megabyte instance-parse time, and the daemon's decode
+//! of a long-pipeline `solve` line (`parse_request_ms`).
 //!
 //! Prints one JSON object to stdout — CI's bench-smoke job stores it as
 //! `BENCH_pr_core.json` next to the other perf artifacts — and enforces
@@ -26,6 +27,7 @@
 use repliflow_core::gen::Gen;
 use repliflow_core::instance::{CostModel, Objective, ProblemInstance};
 use repliflow_exact::{solve_comm_bb_with_mask, BbLimits, BbResult, Mask128};
+use repliflow_serve::protocol::{parse_request, Verb};
 use repliflow_solver::{CommModel, EngineRegistry, Network, Optimality, SolveRequest};
 use serde_json::Value;
 use std::process::ExitCode;
@@ -118,6 +120,28 @@ fn limits(parallelism: usize) -> BbLimits {
         time_limit: None,
         parallelism,
     }
+}
+
+/// A `solve` request line shaped like the largest member of the daemon
+/// benchmark's warm hot set: a 70 000-stage pipeline with weights
+/// 100–999 and data sizes 10–99 (about 490 KB), almost all of it the
+/// two integer arrays the request decode walks.
+fn warm_solve_line() -> String {
+    let mut gen = Gen::new(0x3A4D);
+    let stages = 70_000;
+    let weights = (0..stages).map(|_| gen.int(100, 999)).collect();
+    let sizes = (0..=stages).map(|_| gen.int(10, 99)).collect();
+    let instance = ProblemInstance::new(
+        repliflow_core::workflow::Pipeline::with_data_sizes(weights, sizes),
+        gen.het_platform(6, 1, 9),
+        false,
+        Objective::Latency,
+    );
+    let instance = serde_json::to_string(&instance).expect("instance serializes");
+    format!(
+        "{{\"v\":1,\"id\":1,\"verb\":\"solve\",\"instance\":{instance},\
+         \"engine\":\"auto\",\"quality\":\"balanced\",\"validate\":true}}"
+    )
 }
 
 fn main() -> ExitCode {
@@ -250,6 +274,18 @@ fn main() -> ExitCode {
     fields.push(("parse_tree_ms".into(), Value::Float(tree_ms)));
     fields.push(("parse_streaming_ms".into(), Value::Float(stream_ms)));
     fields.push(("parse_speedup".into(), Value::Float(tree_ms / stream_ms)));
+
+    // ---- warm-path request decode (trend, not a gate) ----
+    let line = warm_solve_line();
+    let mut request_ms = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let request = parse_request(&line).expect("the warm-path line parses");
+        request_ms = request_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        assert!(matches!(request.verb, Verb::Solve(_)), "a solve request");
+    }
+    fields.push(("parse_request_bytes".into(), Value::Int(line.len() as i128)));
+    fields.push(("parse_request_ms".into(), Value::Float(request_ms)));
 
     println!(
         "{}",

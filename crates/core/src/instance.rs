@@ -212,7 +212,7 @@ impl serde::Deserialize for ProblemInstance {
                 .field(name)
                 .ok_or_else(|| serde::de::Error::missing_field(name, "ProblemInstance"))
         };
-        Ok(ProblemInstance {
+        ProblemInstance {
             workflow: serde::Deserialize::deserialize(field("workflow")?)?,
             platform: serde::Deserialize::deserialize(field("platform")?)?,
             allow_data_parallel: serde::Deserialize::deserialize(field("allow_data_parallel")?)?,
@@ -221,7 +221,8 @@ impl serde::Deserialize for ProblemInstance {
                 Some(v) => serde::Deserialize::deserialize(v)?,
                 None => CostModel::Simplified,
             },
-        })
+        }
+        .checked()
     }
 }
 
@@ -241,35 +242,38 @@ impl serde::DeserializeStream for ProblemInstance {
         let mut first = true;
         while let Some(key) = parser.object_next(first)? {
             first = false;
+            // the first occurrence of a key wins, as in the tree lookup;
+            // a repeat is skipped, so it need only be valid JSON
             match key.as_ref() {
-                "workflow" => {
+                "workflow" if workflow.is_none() => {
                     workflow = Some(serde::DeserializeStream::deserialize_stream(parser)?)
                 }
-                "platform" => {
+                "platform" if platform.is_none() => {
                     platform = Some(serde::DeserializeStream::deserialize_stream(parser)?)
                 }
-                "allow_data_parallel" => {
+                "allow_data_parallel" if allow_data_parallel.is_none() => {
                     allow_data_parallel =
                         Some(serde::DeserializeStream::deserialize_stream(parser)?)
                 }
-                "objective" => {
+                "objective" if objective.is_none() => {
                     objective = Some(serde::DeserializeStream::deserialize_stream(parser)?)
                 }
-                "cost_model" => {
+                "cost_model" if cost_model.is_none() => {
                     cost_model = Some(serde::DeserializeStream::deserialize_stream(parser)?)
                 }
                 _ => parser.skip_value()?,
             }
         }
         let missing = |name| serde::de::Error::missing_field(name, "ProblemInstance");
-        Ok(ProblemInstance {
+        ProblemInstance {
             workflow: workflow.ok_or_else(|| missing("workflow"))?,
             platform: platform.ok_or_else(|| missing("platform"))?,
             allow_data_parallel: allow_data_parallel
                 .ok_or_else(|| missing("allow_data_parallel"))?,
             objective: objective.ok_or_else(|| missing("objective"))?,
             cost_model: cost_model.unwrap_or(CostModel::Simplified),
-        })
+        }
+        .checked()
     }
 }
 
@@ -289,6 +293,16 @@ impl ProblemInstance {
             objective,
             cost_model: CostModel::Simplified,
         }
+    }
+
+    /// A decoded instance, or the first shape invariant of its workflow
+    /// that a public constructor would have asserted (both decoders
+    /// share this check; the platform's decoders check its own).
+    fn checked(self) -> Result<ProblemInstance, serde::de::Error> {
+        self.workflow
+            .check_shape()
+            .map_err(serde::de::Error::custom)?;
+        Ok(self)
     }
 
     /// Period of `mapping` under this instance's cost model.

@@ -80,9 +80,14 @@ impl serde::DeserializeStream for Platform {
         let mut first = true;
         while let Some(key) = parser.object_next(first)? {
             first = false;
+            // the first occurrence of a key wins, as in the tree lookup
             match key.as_ref() {
-                "speeds" => speeds = Some(serde::DeserializeStream::deserialize_stream(parser)?),
-                "failure" => failure = Some(serde::DeserializeStream::deserialize_stream(parser)?),
+                "speeds" if speeds.is_none() => {
+                    speeds = Some(serde::DeserializeStream::deserialize_stream(parser)?)
+                }
+                "failure" if failure.is_none() => {
+                    failure = Some(serde::DeserializeStream::deserialize_stream(parser)?)
+                }
                 _ => parser.skip_value()?,
             }
         }

@@ -446,6 +446,33 @@ impl Workflow {
             Workflow::ForkJoin(fj) => fj.latency(platform, mapping),
         }
     }
+
+    /// Checks the shape the public constructors assert, for a graph
+    /// decoded from untrusted input: a pipeline has at least one stage
+    /// and `n + 1` data sizes, a fork or fork-join one output size per
+    /// leaf.
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        match self {
+            Workflow::Pipeline(p) if p.weights.is_empty() => {
+                Err("a pipeline needs at least one stage".into())
+            }
+            Workflow::Pipeline(p) if p.data_sizes.len() != p.weights.len() + 1 => Err(format!(
+                "need n+1 data sizes for an n-stage pipeline (got {} data sizes for {} stages)",
+                p.data_sizes.len(),
+                p.weights.len()
+            )),
+            Workflow::Fork(fork) | Workflow::ForkJoin(ForkJoin { fork, .. })
+                if fork.output_sizes.len() != fork.leaf_weights.len() =>
+            {
+                Err(format!(
+                    "need one output size per fork leaf (got {} output sizes for {} leaves)",
+                    fork.output_sizes.len(),
+                    fork.leaf_weights.len()
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl From<Pipeline> for Workflow {

@@ -6,7 +6,7 @@
 //!
 //! * every byte is scanned for `\n` once, so framing a line costs time
 //!   linear in its length (no rescans of the pending bytes after each
-//!   read);
+//!   read), and the scan tests eight bytes at a time;
 //! * a line is handed out as a range of the buffer, never copied;
 //! * the same lines, [`Frame::TooLong`]s and tail come out as when the
 //!   whole input arrives in one chunk — in particular the cap holds
@@ -81,10 +81,7 @@ impl LineBuffer {
     /// The next frame, or `None` when the buffered bytes end inside a
     /// line and more must be read.
     pub fn next_frame(&mut self) -> Option<Frame> {
-        let newline = self.buf[self.scanned..self.end]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|i| self.scanned + i);
+        let newline = find_newline(&self.buf[self.scanned..self.end]).map(|i| self.scanned + i);
         let Some(end) = newline else {
             self.scanned = self.end;
             // `cap + 1` leaves room for a `\r` whose `\n` has not
@@ -145,6 +142,37 @@ impl LineBuffer {
     }
 }
 
+/// The offset of the first `\n` in `bytes`. Whole 8-byte words are
+/// tested at once; the word holding the newline, and the last few bytes,
+/// are finished byte by byte.
+///
+/// With `w = word ^ 0x0a0a…`, a byte of `word` is `\n` exactly when that
+/// byte of `w` is zero, and `(w - 0x0101…) & !w & 0x8080…` is nonzero
+/// exactly when some byte of `w` is zero. Without a zero byte nothing
+/// borrows, and a byte `b` would need `b - 1 >= 0x80 > b`. The lowest
+/// zero byte gets no borrow from below and turns into `0xff`, so its
+/// high bit is set. Flags above it can be wrong, so the hit word is
+/// finished byte by byte.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut offset = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let w = u64::from_ne_bytes(word) ^ NEWLINES;
+        if w.wrapping_sub(ONES) & !w & HIGHS != 0 {
+            break;
+        }
+        offset += 8;
+    }
+    bytes[offset..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| offset + i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +214,9 @@ mod tests {
             2 => gen.size(0, cap),
             _ => gen.size(cap, cap * 3),
         };
-        let mut line: Vec<u8> = (0..len).map(|_| b"ab{}\r"[gen.size(0, 4)]).collect();
+        let mut line: Vec<u8> = (0..len)
+            .map(|_| b"ab{}\r\x0b\x8a"[gen.size(0, 6)])
+            .collect();
         if gen.flip(0.4) {
             line.push(b'\r');
         }
@@ -223,7 +253,8 @@ mod tests {
     fn chunking_does_not_change_the_frames() {
         let mut gen = Gen::new(0x11E5);
         for case in 0..400 {
-            let cap = gen.size(1, 24);
+            // caps past a word, so lines span several 8-byte words
+            let cap = gen.size(1, 40);
             let mut input: Vec<u8> = (0..gen.size(0, 8))
                 .flat_map(|_| random_line(&mut gen, cap))
                 .collect();
@@ -245,6 +276,36 @@ mod tests {
             }
             let bytewise: Vec<usize> = (1..input.len()).collect();
             assert_eq!(frame_chunked(&input, &bytewise, cap), whole, "case {case}");
+        }
+    }
+
+    #[test]
+    fn newline_search_finds_the_first_newline_at_every_word_offset() {
+        // fillers: plain bytes, `\n` with its high bit set, the bytes
+        // on either side of `\n`, and a multi-byte UTF-8 character
+        let fillers: [&[u8]; 5] = [b"x", b"\x8a", b"\x0b", b"\t", "\u{20a}".as_bytes()];
+        for len in 0..=24 {
+            for filler in fillers {
+                let base: Vec<u8> = filler.iter().copied().cycle().take(len).collect();
+                assert_eq!(find_newline(&base), None, "{base:?}");
+                for at in 0..len.min(17) {
+                    let mut bytes = base.clone();
+                    bytes[at] = b'\n';
+                    assert_eq!(find_newline(&bytes), Some(at), "{bytes:?}");
+                    // `\r\n`, and a second newline later on
+                    if at > 0 {
+                        bytes[at - 1] = b'\r';
+                    }
+                    if at + 2 < len {
+                        bytes[at + 2] = b'\n';
+                    }
+                    assert_eq!(find_newline(&bytes), Some(at), "{bytes:?}");
+                    // searched from an unaligned start
+                    for from in 0..=at {
+                        assert_eq!(find_newline(&bytes[from..]), Some(at - from), "{bytes:?}");
+                    }
+                }
+            }
         }
     }
 

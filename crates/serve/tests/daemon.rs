@@ -432,6 +432,55 @@ fn broken_input_gets_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn malformed_workflow_shapes_are_bad_requests_not_engine_panics() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let instance = |sizes: &str| {
+        format!(
+            r#"{{"workflow":{{"Pipeline":{{"weights":[4,3,2,1],"data_sizes":{sizes}}}}},"platform":{{"speeds":[2,1]}},"allow_data_parallel":false,"objective":"Period","cost_model":{{"WithComm":{{"network":{{"proc_bw":[[1,1],[1,1]],"input_bw":[1,1],"output_bw":[1,1],"node_capacity":null,"infinite":false}},"comm":"OnePort","overlap":true}}}}}}"#
+        )
+    };
+    let lines = vec![
+        // too short: the comm cost model used to index past its end
+        format!(
+            r#"{{"v":1,"id":1,"verb":"solve","instance":{}}}"#,
+            instance("[3]")
+        ),
+        // too long: used to be accepted and hashed
+        format!(
+            r#"{{"v":1,"id":2,"verb":"solve","instance":{}}}"#,
+            instance("[1,1,1,1,1,1]")
+        ),
+        format!(
+            r#"{{"v":1,"id":3,"verb":"solve","instance":{}}}"#,
+            instance("[1,1,1,1,1]")
+        ),
+    ];
+    let mut responses = raw_exchange(addr, &lines, 3);
+    responses.sort_by_key(id_int);
+    for (response, got) in responses[..2].iter().zip([1, 6]) {
+        assert_eq!(err_code(response), Some("bad_request"), "{response:?}");
+        let message = response.field("err").unwrap().field("message").unwrap();
+        assert_eq!(
+            message.as_str(),
+            Some(
+                format!(
+                    "invalid instance: need n+1 data sizes for an n-stage pipeline \
+                     (got {got} data sizes for 4 stages)"
+                )
+                .as_str()
+            )
+        );
+    }
+    assert_eq!(
+        err_code(&responses[2]),
+        None,
+        "the well-formed instance solves"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
 fn an_over_cap_line_arriving_whole_in_one_read_is_line_too_long() {
     let (addr, handle, join) = start(ServerConfig {
         max_line_bytes: 1024,

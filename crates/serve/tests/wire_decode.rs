@@ -230,3 +230,235 @@ fn checks_run_in_the_same_order_whatever_the_field_order() {
         failure.message
     );
 }
+
+/// A direct decode's outcome, with the error as text.
+type Decoded = Result<ProblemInstance, String>;
+
+/// Both direct decodes of `text`: the tree decode and the streaming
+/// decode.
+fn both_decodes(text: &str) -> (Decoded, Decoded) {
+    let tree = serde_json::from_str::<ProblemInstance>(text).map_err(|e| e.to_string());
+    let streamed =
+        serde_json::from_str_streaming::<ProblemInstance>(text).map_err(|e| e.to_string());
+    (tree, streamed)
+}
+
+/// Repeats keys at every object level of a serialized instance. A
+/// repeat after the original carries any valid JSON (it is skipped); a
+/// repeat before it, rarer, carries junk the decode of that field
+/// mostly rejects, and `junk_first` records it.
+fn with_duplicates(gen: &mut Gen, value: Value, junk_first: &mut bool) -> Value {
+    let junk = |gen: &mut Gen| match gen.int(0, 3) {
+        0 => Value::Array(vec![Value::Int(99), Value::Int(99)]),
+        1 => Value::Null,
+        2 => Value::String("junk".into()),
+        _ => Value::Object(vec![("junk".into(), Value::Array(Vec::new()))]),
+    };
+    match value {
+        Value::Object(fields) => {
+            let single = fields.len() == 1;
+            let mut out = Vec::new();
+            for (key, field) in fields {
+                // a variant object (`{"Pipeline": {...}}`) must keep
+                // one key on both paths; only its payload gets repeats
+                let repeat = !single && gen.flip(0.4);
+                if repeat && gen.flip(0.1) {
+                    *junk_first = true;
+                    out.push((key.clone(), junk(gen)));
+                }
+                out.push((key.clone(), with_duplicates(gen, field, junk_first)));
+                if repeat {
+                    out.push((key, junk(gen)));
+                }
+            }
+            Value::Object(out)
+        }
+        Value::Array(items) => Value::Array(
+            items
+                .into_iter()
+                .map(|v| with_duplicates(gen, v, junk_first))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+#[test]
+fn the_first_of_repeated_keys_wins_at_every_level() {
+    // A valid first value wins over a valid repeat on both paths, in
+    // the instance, workflow, platform, cost model and network objects.
+    let text = r#"{
+        "workflow": {"Pipeline": {"weights": [99, 99], "data_sizes": [1, 2, 3],
+                                  "weights": [14, 4, 2, 4], "data_sizes": [0, 0, 0, 0, 0]}},
+        "workflow": {"Pipeline": {"weights": [5], "data_sizes": [0, 0]}},
+        "platform": {"speeds": [2, 1], "failure": [{"num": 1, "den": 10}, {"num": 0, "den": 1}],
+                     "speeds": [7], "failure": "junk"},
+        "platform": {"speeds": [3]},
+        "allow_data_parallel": false, "allow_data_parallel": true,
+        "objective": "Period", "objective": {"LatencyUnderPeriod": {"num": 1, "den": 2}},
+        "cost_model": {"WithComm": {
+            "network": {"proc_bw": [[1, 2], [2, 1]], "input_bw": [3, 3], "output_bw": [4, 4],
+                        "node_capacity": 2, "infinite": false,
+                        "proc_bw": [[9]], "input_bw": [9], "node_capacity": null},
+            "network": {"proc_bw": []},
+            "comm": "OnePort", "overlap": true, "comm": "BoundedMultiPort", "overlap": false}},
+        "cost_model": "Simplified"
+    }"#;
+    let expected = tree_decode(text);
+    let Workflow::Pipeline(pipeline) = &expected.workflow else {
+        panic!("the first workflow wins");
+    };
+    assert_eq!(pipeline.weights(), &[99, 99]);
+    assert_eq!(expected.platform.speeds(), &[2, 1]);
+    assert!(!expected.allow_data_parallel);
+    assert_eq!(expected.objective, Objective::Period);
+    assert!(expected.cost_model.is_comm_aware());
+    let (tree, streamed) = both_decodes(text);
+    assert_eq!(tree.as_ref(), Ok(&expected));
+    assert_eq!(streamed.as_ref(), Ok(&expected));
+    assert_stream_matches_tree(text, "hand-written repeats");
+
+    let mut gen = Gen::new(0xD0_0B1E);
+    let mut failed = 0;
+    for case in 0..300 {
+        let instance = random_instance(&mut gen);
+        let mut junk_first = false;
+        let value = with_duplicates(&mut gen, instance.serialize(), &mut junk_first);
+        let text = serde_json::to_string(&value).expect("instance renders");
+        let what = format!("case {case}: {text}");
+        match both_decodes(&text) {
+            (Ok(tree), Ok(streamed)) => {
+                // junk that happens to fit its field (`[99,99]` for a
+                // bandwidth vector) wins on both paths
+                if !junk_first {
+                    assert_eq!(tree, instance, "{what}: tree decode");
+                }
+                assert_eq!(streamed, tree, "{what}: streaming decode");
+                assert_eq!(streamed.fingerprint(), tree.fingerprint(), "{what}");
+                assert_stream_matches_tree(&text, &what);
+            }
+            (Err(_), Err(_)) => {
+                assert!(junk_first, "{what}: rejected without a junk first value");
+                failed += 1;
+                for line in request_lines(&text) {
+                    let failure = parse_request(&line).expect_err("junk first is rejected");
+                    assert!(failure.message.starts_with("invalid instance"), "{line}");
+                }
+            }
+            (tree, streamed) => panic!("{what}: decodes disagree: {tree:?} vs {streamed:?}"),
+        }
+    }
+    assert!(failed > 0 && failed < 150, "{failed} junk-first cases");
+}
+
+/// Malformed workflow and platform shapes, each with the message both
+/// decodes fail with.
+fn malformed_shapes() -> Vec<(String, &'static str)> {
+    let instance = |workflow: &str, platform: &str| {
+        format!(
+            r#"{{"workflow":{workflow},"platform":{platform},"allow_data_parallel":false,"objective":"Period"}}"#
+        )
+    };
+    let speeds = r#"{"speeds":[2,1]}"#;
+    let pipeline_sizes = "need n+1 data sizes for an n-stage pipeline";
+    let fork_sizes = "need one output size per fork leaf";
+    let fork = |sizes: &str| {
+        format!(
+            r#"{{"root_weight":1,"leaf_weights":[2,3],"input_size":1,"broadcast_size":1,"output_sizes":{sizes}}}"#
+        )
+    };
+    vec![
+        (
+            instance(r#"{"Pipeline":{"weights":[],"data_sizes":[0]}}"#, speeds),
+            "a pipeline needs at least one stage",
+        ),
+        (
+            instance(r#"{"Pipeline":{"weights":[],"data_sizes":[]}}"#, speeds),
+            "a pipeline needs at least one stage",
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1,2,3,4],"data_sizes":[3]}}"#,
+                speeds,
+            ),
+            pipeline_sizes,
+        ),
+        (
+            instance(r#"{"Pipeline":{"weights":[1,2],"data_sizes":[]}}"#, speeds),
+            pipeline_sizes,
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1,2],"data_sizes":[1,1,1,1]}}"#,
+                speeds,
+            ),
+            pipeline_sizes,
+        ),
+        (
+            instance(&format!(r#"{{"Fork":{}}}"#, fork("[1]")), speeds),
+            fork_sizes,
+        ),
+        (
+            instance(&format!(r#"{{"Fork":{}}}"#, fork("[1,1,1]")), speeds),
+            fork_sizes,
+        ),
+        (
+            instance(
+                &format!(
+                    r#"{{"ForkJoin":{{"fork":{},"join_weight":2}}}}"#,
+                    fork("[]")
+                ),
+                speeds,
+            ),
+            fork_sizes,
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1],"data_sizes":[0,0]}}"#,
+                r#"{"speeds":[]}"#,
+            ),
+            "a platform needs at least one processor",
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1],"data_sizes":[0,0]}}"#,
+                r#"{"speeds":[1,0]}"#,
+            ),
+            "processor speeds must be positive",
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1],"data_sizes":[0,0]}}"#,
+                r#"{"speeds":[1,2],"failure":[{"num":1,"den":2}]}"#,
+            ),
+            "failure probabilities cover 1 processors but the platform has 2",
+        ),
+        (
+            instance(
+                r#"{"Pipeline":{"weights":[1],"data_sizes":[0,0]}}"#,
+                r#"{"speeds":[1],"failure":[{"num":1,"den":1}]}"#,
+            ),
+            "failure probabilities must lie in [0, 1)",
+        ),
+    ]
+}
+
+#[test]
+fn malformed_shapes_fail_both_decodes_and_the_request() {
+    for (text, message) in malformed_shapes() {
+        let (tree, streamed) = both_decodes(&text);
+        let tree = tree.expect_err(&text);
+        assert!(tree.starts_with(message), "{text}: tree decode says {tree}");
+        assert_eq!(streamed, Err(tree.clone()), "{text}: streaming decode");
+        for line in request_lines(&text) {
+            let failure = parse_request(&line).expect_err("a malformed shape is rejected");
+            assert_eq!(failure.code.as_str(), "bad_request", "{line}");
+            assert_eq!(
+                failure.message,
+                format!("invalid instance: {tree}"),
+                "{line}"
+            );
+            assert_ne!(failure.id, Value::Null, "{line}: id echoed");
+        }
+    }
+}

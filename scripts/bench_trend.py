@@ -72,6 +72,7 @@ OBJECT_SCHEMAS = {
         "p33_wall_ms",
         "parallel_speedup",
         "parse_speedup",
+        "parse_request_ms",
     ],
 }
 
