@@ -412,16 +412,9 @@ fn warn_if_slow(engine: EnginePref, instances: &[ProblemInstance]) {
         return;
     }
     let budget = Budget::default();
-    for instance in instances {
+    for instance in instances.iter().filter(|i| !budget.fits_exact(i)) {
         let (n, p) = (instance.workflow.n_stages(), instance.platform.n_procs());
-        let allowed = if instance.cost_model.is_comm_aware() {
-            budget.allows_comm_exact(n, p)
-        } else {
-            budget.allows_exact(n, p)
-        };
-        if !allowed {
-            eprintln!("warning: exact search on n={n}, p={p} may take very long");
-        }
+        eprintln!("warning: exact search on n={n}, p={p} may take very long");
     }
 }
 

@@ -3,16 +3,16 @@
 
 use repliflow_core::fingerprint::{Fingerprinter, InstanceFingerprint};
 use repliflow_core::instance::ProblemInstance;
-use repliflow_solver::{Budget, Quality};
+use repliflow_solver::Budget;
 
 /// Which front engine a [`FrontRequest`] routes to.
 ///
 /// [`FrontRequest`]: crate::FrontRequest
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FrontEnginePref {
-    /// `front-exact` when the instance fits the budget's exact
-    /// enumeration guards (`allows_exact` / `allows_comm_exact` plus
-    /// the solvers' representation caps), `front-sweep` beyond.
+    /// `front-exact` when the instance fits the budget's exact guard
+    /// for its cost model (`Budget::fits_exact`), `front-sweep`
+    /// beyond.
     #[default]
     Auto,
     /// Force the exact ε-constraint enumeration, whatever the budget
@@ -110,30 +110,7 @@ impl FrontRequest {
             FrontEnginePref::Exact => 1,
             FrontEnginePref::Sweep => 2,
         });
-        let b = &self.budget;
-        for knob in [
-            b.max_exact_stages as u64,
-            b.max_exact_procs as u64,
-            b.max_comm_exact_stages as u64,
-            b.max_comm_exact_procs as u64,
-            b.max_comm_bb_stages as u64,
-            b.max_comm_bb_procs as u64,
-            b.max_comm_bb_fork_leaves as u64,
-            b.bb_node_limit,
-            b.bb_time_limit_ms,
-            b.local_search_rounds as u64,
-            b.hedge_delay_ms,
-            b.max_front_points as u64,
-            b.front_time_limit_ms,
-        ] {
-            hasher.write_u64(knob);
-        }
-        hasher.write_tag(match b.quality {
-            Quality::Fast => 0,
-            Quality::Balanced => 1,
-            Quality::Thorough => 2,
-        });
-        hasher.write_u64(b.seed);
+        self.budget.write_fingerprint(&mut hasher);
         hasher.write_tag(self.validate_witness as u8);
         hasher.finish()
     }

@@ -4,10 +4,9 @@
 
 use crate::report::{FrontPoint, FrontReport};
 use crate::request::{FrontEnginePref, FrontRequest};
-use repliflow_core::instance::{CostModel, Objective, ProblemInstance};
+use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::mapping::Mapping;
 use repliflow_core::rational::Rat;
-use repliflow_core::workflow::Workflow;
 use repliflow_exact::{Frontier, Solution};
 use repliflow_solver::{
     Budget, CacheStats, EnginePref, Optimality, Provenance, ShardedLru, SolveError, SolveReport,
@@ -116,7 +115,7 @@ impl FrontSolver {
         let exact = match request.engine {
             FrontEnginePref::Exact => true,
             FrontEnginePref::Sweep => false,
-            FrontEnginePref::Auto => Self::exact_capable(&request.instance, &request.budget),
+            FrontEnginePref::Auto => request.budget.fits_exact(&request.instance),
         };
         let (mut report, cacheable) = if exact {
             self.exact_front(request, start)?
@@ -137,26 +136,6 @@ impl FrontSolver {
             }
         }
         Ok(report)
-    }
-
-    /// Whether `Auto` routes to the exact enumeration: within the
-    /// budget's exact guard for the instance's cost model **and**
-    /// within the exhaustive solvers' hard representation caps.
-    fn exact_capable(instance: &ProblemInstance, budget: &Budget) -> bool {
-        let n_stages = instance.workflow.n_stages();
-        let n_procs = instance.platform.n_procs();
-        let leaves = match &instance.workflow {
-            Workflow::Pipeline(_) => 0,
-            Workflow::Fork(f) => f.n_leaves(),
-            Workflow::ForkJoin(fj) => fj.n_leaves(),
-        };
-        let representable = n_procs <= repliflow_exact::pipeline::MAX_PROCS
-            && leaves <= repliflow_exact::fork::MAX_LEAVES;
-        let within_budget = match &instance.cost_model {
-            CostModel::Simplified => budget.allows_exact(n_stages, n_procs),
-            CostModel::WithComm { .. } => budget.allows_comm_exact(n_stages, n_procs),
-        };
-        representable && within_budget
     }
 
     /// One single-objective inner solve with the front instance's

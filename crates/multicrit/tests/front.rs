@@ -318,3 +318,66 @@ fn front_request_fingerprints_are_domain_separated_and_knob_sensitive() {
     let solve_fp = repliflow_solver::SolveRequest::new(golden_instance()).fingerprint();
     assert_ne!(fp, solve_fp);
 }
+
+#[test]
+fn every_budget_field_moves_both_request_fingerprints() {
+    use repliflow_solver::{Quality, SolveRequest};
+    // Naming every field (no `..`) makes a new `Budget` field fail to
+    // compile here until it gets a row below.
+    let Budget {
+        max_exact_stages: _,
+        max_exact_procs: _,
+        max_comm_exact_stages: _,
+        max_comm_exact_procs: _,
+        max_comm_bb_stages: _,
+        max_comm_bb_procs: _,
+        max_comm_bb_fork_leaves: _,
+        bb_node_limit: _,
+        bb_time_limit_ms: _,
+        local_search_rounds: _,
+        hedge_delay_ms: _,
+        quality: _,
+        seed: _,
+        max_front_points: _,
+        front_time_limit_ms: _,
+    } = Budget::default();
+    type Edit = (&'static str, fn(&mut Budget));
+    let edits: [Edit; 15] = [
+        ("max_exact_stages", |b| b.max_exact_stages += 1),
+        ("max_exact_procs", |b| b.max_exact_procs += 1),
+        ("max_comm_exact_stages", |b| b.max_comm_exact_stages += 1),
+        ("max_comm_exact_procs", |b| b.max_comm_exact_procs += 1),
+        ("max_comm_bb_stages", |b| b.max_comm_bb_stages += 1),
+        ("max_comm_bb_procs", |b| b.max_comm_bb_procs += 1),
+        ("max_comm_bb_fork_leaves", |b| {
+            b.max_comm_bb_fork_leaves += 1
+        }),
+        ("bb_node_limit", |b| b.bb_node_limit += 1),
+        ("bb_time_limit_ms", |b| b.bb_time_limit_ms += 1),
+        ("local_search_rounds", |b| b.local_search_rounds += 1),
+        ("hedge_delay_ms", |b| b.hedge_delay_ms += 1),
+        ("quality", |b| b.quality = Quality::Thorough),
+        ("seed", |b| b.seed += 1),
+        ("max_front_points", |b| b.max_front_points += 1),
+        ("front_time_limit_ms", |b| b.front_time_limit_ms += 1),
+    ];
+    let instance = golden_instance();
+    let solve_key = |budget: Budget| {
+        SolveRequest::new(instance.clone())
+            .budget(budget)
+            .fingerprint()
+    };
+    let front_key = |budget: Budget| {
+        FrontRequest::new(instance.clone())
+            .budget(budget)
+            .fingerprint()
+    };
+    let base = Budget::default();
+    for (field, edit) in edits {
+        let mut budget = base;
+        edit(&mut budget);
+        assert_ne!(budget, base, "{field}: the edit changes nothing");
+        assert_ne!(solve_key(budget), solve_key(base), "{field}: SolveRequest");
+        assert_ne!(front_key(budget), front_key(base), "{field}: FrontRequest");
+    }
+}

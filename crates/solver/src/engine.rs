@@ -4,7 +4,7 @@
 use crate::report::{SearchStats, SolveError};
 use crate::request::Budget;
 use repliflow_algorithms::Solved;
-use repliflow_core::instance::{ProblemInstance, Variant};
+use repliflow_core::instance::ProblemInstance;
 
 /// One successful engine run: the witnessed solution plus per-run
 /// metadata the registry folds into the [`SolveReport`].
@@ -46,25 +46,24 @@ impl EngineRun {
     }
 }
 
-/// A solving backend: declares which Table 1 cells it covers and
-/// produces witness-backed solutions for instances of those cells.
+/// A solving backend: produces witness-backed solutions for the
+/// instances [`EngineRegistry::route`] sends it.
 ///
-/// Engines must be stateless ([`Sync`]) so [`solve_batch`] can share
-/// one registry across worker threads.
+/// Engines must be [`Sync`] so one registry can serve every worker
+/// thread of a [`SolverService`].
 ///
-/// [`solve_batch`]: crate::EngineRegistry::solve_batch
+/// [`EngineRegistry::route`]: crate::EngineRegistry::route
+/// [`SolverService`]: crate::SolverService
 pub trait Engine: Sync {
     /// Stable engine name (used in reports and error messages).
     fn name(&self) -> &'static str;
-
-    /// Whether this engine can solve instances of `variant`.
-    fn supports(&self, variant: &Variant) -> bool;
 
     /// Solves `instance` under `budget`.
     ///
     /// Returns [`SolveError::Infeasible`] when a bi-criteria bound is
     /// unattainable (with a best-effort witness if the engine has one)
     /// and [`SolveError::Unsupported`] when the instance's cell is
-    /// outside [`Engine::supports`].
+    /// outside what the engine covers (the paper engine on a cell its
+    /// theorems do not solve).
     fn solve(&self, instance: &ProblemInstance, budget: &Budget) -> Result<EngineRun, SolveError>;
 }

@@ -1,5 +1,5 @@
 //! The `comm-bb` engine: branch-and-bound over partial mappings for
-//! [`CostModel::WithComm`] instances, seeded with the comm-heuristic
+//! [`CostModel::WithComm`] instances, seeded with the heuristic
 //! portfolio's best mapping as the incumbent. Proves optimality
 //! whenever the search completes within the [`Budget`]'s node/time
 //! limits, and degrades gracefully to the incumbent (reported as
@@ -10,11 +10,11 @@
 //! [`CostModel::WithComm`]: repliflow_core::instance::CostModel::WithComm
 //! [`Optimality::Heuristic`]: crate::report::Optimality::Heuristic
 
-use super::{comm::portfolio_best, orient};
+use super::{heuristic::portfolio_best, orient};
 use crate::engine::{Engine, EngineRun};
 use crate::report::{SearchStats, SolveError};
 use crate::request::Budget;
-use repliflow_core::instance::{ProblemInstance, Variant};
+use repliflow_core::instance::ProblemInstance;
 use repliflow_exact::solve_comm_bb;
 
 /// Branch-and-bound over interval-by-interval (pipeline) / group-by-
@@ -28,17 +28,12 @@ impl Engine for CommBbEngine {
         "comm-bb"
     }
 
-    fn supports(&self, _variant: &Variant) -> bool {
-        true
-    }
-
     fn solve(&self, instance: &ProblemInstance, budget: &Budget) -> Result<EngineRun, SolveError> {
         // Surface the search's hard representation limits as a clean
         // capacity error *before* the search starts, instead of letting
         // its asserts abort the process: the wide-mask search caps out
         // at `comm_bb::{MAX_STAGES, MAX_PROCS}` (128 each). The `Auto`
-        // route performs the same check and falls back to
-        // `comm-heuristic`.
+        // route's guards stay inside this capacity.
         if !super::comm_bb_capacity(instance) {
             return Err(SolveError::ExceedsExactCapacity {
                 n_stages: instance.workflow.n_stages(),

@@ -47,11 +47,11 @@
 //! [`SearchStats`]: crate::SearchStats
 
 use crate::engine::{Engine, EngineRun};
-use crate::engines::{CommBbEngine, CommHeuristicEngine};
+use crate::engines::{CommBbEngine, HeuristicEngine};
 use crate::pool::WorkerPool;
 use crate::report::SolveError;
 use crate::request::{Budget, CancelToken};
-use repliflow_core::instance::{CostModel, ProblemInstance, Variant};
+use repliflow_core::instance::{CostModel, ProblemInstance};
 use repliflow_sync::sync::atomic::{AtomicU64, Ordering};
 use repliflow_sync::sync::mpsc::{self, RecvTimeoutError};
 use repliflow_sync::sync::{Arc, OnceLock};
@@ -81,7 +81,7 @@ pub struct HedgeStats {
 /// An engine that races a primary solver against a secondary one and
 /// settles per the module-level policy. The default pair is
 /// [`CommBbEngine`] (primary, can prove optimality) vs
-/// [`CommHeuristicEngine`] (secondary, uniformly fast); any two
+/// [`HeuristicEngine::COMM`] (secondary, uniformly fast); any two
 /// engines can be raced via [`HedgedEngine::with_pair`].
 pub struct HedgedEngine {
     primary: Arc<dyn Engine + Send + Sync>,
@@ -106,7 +106,7 @@ impl std::fmt::Debug for HedgedEngine {
 
 impl Default for HedgedEngine {
     fn default() -> Self {
-        HedgedEngine::with_pair(Arc::new(CommBbEngine), Arc::new(CommHeuristicEngine))
+        HedgedEngine::with_pair(Arc::new(CommBbEngine), Arc::new(HeuristicEngine::COMM))
     }
 }
 
@@ -190,10 +190,6 @@ impl HedgedEngine {
 impl Engine for HedgedEngine {
     fn name(&self) -> &'static str {
         "hedged"
-    }
-
-    fn supports(&self, variant: &Variant) -> bool {
-        self.primary.supports(variant) || self.secondary.supports(variant)
     }
 
     fn solve(&self, instance: &ProblemInstance, budget: &Budget) -> Result<EngineRun, SolveError> {

@@ -1,72 +1,39 @@
-//! The built-in engines behind the registry: exhaustive search, the
-//! paper's polynomial algorithms, the heuristic portfolio, and their
-//! communication-aware counterparts.
+//! The built-in engines behind the registry: the paper's polynomial
+//! algorithms, exhaustive search, the heuristic portfolio, the
+//! communication-aware branch-and-bound, and the hedged race. The exact
+//! and heuristic engines each serve both cost models; the registry
+//! holds one slot per cost model so the wire names tell them apart.
 
-mod comm;
 mod comm_bb;
 mod exact;
 pub mod hedged;
 mod heuristic;
 mod paper;
 
-pub use comm::{CommExactEngine, CommHeuristicEngine};
 pub use comm_bb::CommBbEngine;
 pub use exact::ExactEngine;
 pub use hedged::{HedgeStats, HedgedEngine};
 pub use heuristic::HeuristicEngine;
 pub use paper::PaperEngine;
 
-pub(crate) use exact::{instance_fits, within_exact_capacity};
+pub(crate) use exact::{instance_fits, representable};
 
 /// Whether `comm-bb` can even *represent* the instance. The
 /// branch-and-bound's wide-mask search carries its own capacity
 /// (`repliflow_exact::comm_bb::{MAX_STAGES, MAX_PROCS}`, 128 each) —
-/// it no longer shares the dense-DP bitmask limits of the
-/// simplified-model solvers (`pipeline::MAX_PROCS` / `fork::MAX_LEAVES`
-/// = 20). Instances beyond this panic-free ceiling are rejected by the
-/// engine with a capacity error and skipped by the `Auto` route (which
-/// falls through to `comm-heuristic`).
+/// it does not share the dense-DP bitmask limits of the exhaustive
+/// engine (`pipeline::MAX_PROCS` / `fork::MAX_LEAVES` = 20). Instances
+/// beyond this panic-free ceiling are rejected by the engine with a
+/// capacity error.
 pub(crate) fn comm_bb_capacity(instance: &repliflow_core::instance::ProblemInstance) -> bool {
     instance.workflow.n_stages() <= repliflow_exact::comm_bb::MAX_STAGES
         && instance.platform.n_procs() <= repliflow_exact::comm_bb::MAX_PROCS
 }
 
-use crate::request::Budget;
 use repliflow_algorithms::Solved;
-use repliflow_core::instance::{Objective, ProblemInstance};
+use repliflow_core::instance::Objective;
 use repliflow_core::mapping::Mapping;
 use repliflow_core::rational::Rat;
-
-/// The shared fork/fork-join portfolio tail: refine a constructive
-/// `start` with the workflow-generic neighborhood (structural group
-/// moves + processor swaps; `comm::improve_instance` evaluates through
-/// the instance's own cost model, so the same code serves the
-/// simplified and comm-aware engines), escalating to annealing per the
-/// quality tier. Keeping this in one place is what makes the
-/// infinite-bandwidth degeneracy hold at the *engine* level: both
-/// portfolios search identically, they only differ in the evaluator
-/// the cost model selects.
-pub(crate) fn push_fork_portfolio(
-    instance: &ProblemInstance,
-    start: Mapping,
-    budget: &Budget,
-    out: &mut Vec<Mapping>,
-) {
-    use repliflow_heuristics::comm;
-    out.push(comm::improve_instance(
-        instance,
-        start.clone(),
-        budget.local_search_rounds,
-    ));
-    if let Some(schedule) = budget.quality.annealing_schedule() {
-        out.push(comm::anneal_instance(
-            instance,
-            start,
-            schedule,
-            budget.seed,
-        ));
-    }
-}
 
 /// Orients a (mapping, period, latency) triple into a [`Solved`] whose
 /// `objective` field matches the instance's objective — the one place

@@ -7,7 +7,7 @@ use crate::engine::{Engine, EngineRun};
 use crate::report::SolveError;
 use crate::request::Budget;
 use repliflow_algorithms::{forkjoin, het_fork, het_pipeline, hom_fork, hom_pipeline, Solved};
-use repliflow_core::instance::{Complexity, Objective, ProblemInstance, Variant};
+use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::workflow::Workflow;
 
 /// The paper's own polynomial algorithms, cell by cell.
@@ -159,10 +159,6 @@ impl PaperEngine {
 impl Engine for PaperEngine {
     fn name(&self) -> &'static str {
         "paper"
-    }
-
-    fn supports(&self, variant: &Variant) -> bool {
-        matches!(variant.paper_complexity(), Complexity::Polynomial(_))
     }
 
     fn solve(&self, instance: &ProblemInstance, _budget: &Budget) -> Result<EngineRun, SolveError> {

@@ -14,7 +14,7 @@
 //! * **communication-aware instances** → `comm-exact` enumeration when
 //!   tiny, the `comm-bb` branch-and-bound (proven optimal whenever its
 //!   node/time budget suffices, incumbent-seeded from the heuristic
-//!   portfolio) within [`Budget::allows_comm_bb`], `comm-heuristic`
+//!   portfolio) within its stage/leaf/processor guard, `comm-heuristic`
 //!   beyond;
 //! * explicit overrides via [`EnginePref`]: `Exact`, `Heuristic`,
 //!   `CommBb`, `Paper` (paper algorithm or refuse), or `Hedged`
@@ -56,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod cache;
 mod engine;
 pub mod engines;
@@ -65,10 +64,8 @@ pub mod pool;
 mod registry;
 mod report;
 mod request;
-mod score;
 mod service;
 
-pub use batch::BatchOptions;
 pub use cache::{CacheStats, ShardedLru, SolveCache};
 pub use engine::{Engine, EngineRun};
 pub use engines::{HedgeStats, HedgedEngine};
@@ -79,8 +76,9 @@ pub use report::{
 };
 pub use request::{Budget, CancelToken, Deadline, EnginePref, Quality, SolveRequest};
 pub use service::{
-    batch_threads, EngineWall, EscalationStats, ServiceStats, SolveStream, SolverBuilder,
-    SolverService, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS, DEFAULT_MAX_ESCALATIONS,
+    batch_threads, BatchOptions, EngineWall, EscalationStats, ServiceStats, SolveStream,
+    SolverBuilder, SolverService, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
+    DEFAULT_MAX_ESCALATIONS,
 };
 
 // Re-exported so callers can share the instance-identity machinery the

@@ -3,43 +3,44 @@
 
 use crate::engine::Engine;
 use crate::engines::{
-    CommBbEngine, CommExactEngine, CommHeuristicEngine, ExactEngine, HedgeStats, HedgedEngine,
-    HeuristicEngine, PaperEngine,
+    CommBbEngine, ExactEngine, HedgeStats, HedgedEngine, HeuristicEngine, PaperEngine,
 };
 use crate::report::{FallbackReason, Optimality, SolveError, SolveReport};
 use crate::request::{Budget, CancelToken, Deadline, EnginePref, SolveRequest};
-use crate::score::meets_bound;
-use repliflow_core::instance::{CostModel, Variant};
+use repliflow_core::instance::{Complexity, CostModel, GraphClass, ProblemInstance, Variant};
+use repliflow_core::reliability::{reduce, ReliabilityReduction};
+use repliflow_core::workflow::Workflow;
 use std::time::Instant;
 
 /// Routes every Table 1 cell to an engine and assembles reports.
 ///
-/// The default registry carries five built-in engines. Routing policy
-/// for [`EnginePref::Auto`] on **simplified-model** instances:
-///
-/// 1. polynomial cell → [`PaperEngine`] (proven optimum in polynomial
-///    time);
-/// 2. NP-hard cell, instance within [`Budget::allows_exact`] →
-///    [`ExactEngine`] (proven optimum, exponential time on small
-///    inputs);
-/// 3. otherwise → [`HeuristicEngine`].
-///
-/// **Communication-aware** instances ([`CostModel::WithComm`]) have no
-/// polynomial cells — the paper analyzes only the simplified model — so
-/// `Auto` routes to [`CommExactEngine`] within
-/// [`Budget::allows_comm_exact`], to [`CommBbEngine`] (branch-and-bound,
-/// proven-optimal whenever its node/time budget suffices) within the
-/// much larger [`Budget::allows_comm_bb`] guard, and to
-/// [`CommHeuristicEngine`] beyond; [`EnginePref::Paper`] refuses them.
-#[derive(Debug, Default)]
+/// [`EngineRegistry::route`] is the one routing rule; see it for the
+/// policy. The registry holds one slot per engine name: the exact and
+/// heuristic engines each fill two slots (`exact` / `comm-exact`,
+/// `heuristic` / `comm-heuristic`), one per cost model.
+#[derive(Debug)]
 pub struct EngineRegistry {
-    exact: ExactEngine,
     paper: PaperEngine,
+    exact: ExactEngine,
+    comm_exact: ExactEngine,
     heuristic: HeuristicEngine,
-    comm_exact: CommExactEngine,
+    comm_heuristic: HeuristicEngine,
     comm_bb: CommBbEngine,
-    comm_heuristic: CommHeuristicEngine,
     hedged: HedgedEngine,
+}
+
+impl Default for EngineRegistry {
+    fn default() -> Self {
+        EngineRegistry {
+            paper: PaperEngine,
+            exact: ExactEngine::SIMPLIFIED,
+            comm_exact: ExactEngine::COMM,
+            heuristic: HeuristicEngine::SIMPLIFIED,
+            comm_heuristic: HeuristicEngine::COMM,
+            comm_bb: CommBbEngine,
+            hedged: HedgedEngine::default(),
+        }
+    }
 }
 
 impl EngineRegistry {
@@ -49,114 +50,160 @@ impl EngineRegistry {
         self.hedged.stats()
     }
 
-    /// The engine a **communication-aware** request routes to, plus the
-    /// structured reason when `Auto` declined a stronger engine:
-    /// comm-exact within the budget's enumeration guard (or when forced
-    /// via [`EnginePref::Exact`]), comm-bb within the branch-and-bound
-    /// guard (or when forced via [`EnginePref::CommBb`]), comm-heuristic
-    /// beyond both; [`EnginePref::Paper`] fails — the paper's polynomial
-    /// algorithms only cover the simplified model.
+    /// The engine a request for `instance` runs on, plus the structured
+    /// reason when `Auto` declined a stronger engine. The only code that
+    /// evaluates the routing guards; [`EngineRegistry::solve`] routes
+    /// through it (after the reliability reduction), and
+    /// [`EngineRegistry::resolve`] / [`EngineRegistry::resolve_comm`]
+    /// are entries into its two arms.
     ///
-    /// The `Auto` arm is the single source of truth for comm routing
-    /// (it is what [`EngineRegistry::solve`] uses). The comm-bb guard:
+    /// **Simplified model** ([`CostModel::Simplified`]), `Auto`:
     ///
-    /// * stages within `min(budget.max_comm_bb_stages,`
-    ///   [`comm_bb::MAX_STAGES`]`)`;
-    /// * fork/fork-join leaves within `budget.max_comm_bb_fork_leaves`;
-    /// * processors within `budget.max_comm_bb_procs`, **or** — the
-    ///   symmetry escape hatch — within the engine's wide-mask capacity
-    ///   ([`comm_bb::MAX_PROCS`] = 128) with a symmetry-reduced
-    ///   branching width `Π (class_size + 1)` over the platform's
-    ///   processor equivalence classes no larger than
-    ///   `2^budget.max_comm_bb_procs` (clamped at `2^20`). A
-    ///   homogeneous 33-processor platform collapses to one class
-    ///   (width 34) and is admitted; 33 distinct speeds are not.
+    /// 1. polynomial cell with a non-strict objective → `paper` (the
+    ///    theorem algorithms take non-strict bounds only);
+    /// 2. instance within [`Budget::fits_exact`] → `exact`;
+    /// 3. otherwise → `heuristic`.
     ///
-    /// When `Auto` falls back to comm-heuristic the declined guard is
-    /// returned as a [`FallbackReason`] so the report can say *why* the
-    /// answer is heuristic-grade. Explicit preferences never report a
-    /// fallback.
+    /// **Communication-aware** ([`CostModel::WithComm`]) instances have
+    /// no polynomial cells — the paper analyzes only the simplified
+    /// model — so `Auto` tries:
+    ///
+    /// 1. `comm-exact` within [`Budget::fits_exact`];
+    /// 2. a binding reliability bound → `comm-heuristic` with
+    ///    [`FallbackReason::ReliabilityBound`] (`comm-bb` prunes on
+    ///    period/latency bounds only and cannot enforce it);
+    /// 3. `comm-bb` within its guard: stages within
+    ///    `min(budget.max_comm_bb_stages,`
+    ///    [`comm_bb::MAX_STAGES`]`)`, fork/fork-join leaves within
+    ///    `budget.max_comm_bb_fork_leaves`, and processors within
+    ///    `budget.max_comm_bb_procs` **or** — the symmetry escape hatch
+    ///    — within the engine's wide-mask capacity
+    ///    ([`comm_bb::MAX_PROCS`] = 128) with a symmetry-reduced
+    ///    branching width `Π (class_size + 1)` over the platform's
+    ///    processor equivalence classes no larger than
+    ///    `2^budget.max_comm_bb_procs` (clamped at `2^20`). A
+    ///    homogeneous 33-processor platform collapses to one class
+    ///    (width 34) and is admitted; 33 distinct speeds are not;
+    /// 4. otherwise → `comm-heuristic`, with the declined `comm-bb`
+    ///    guard as the [`FallbackReason`].
+    ///
+    /// **Explicit preferences** never report a fallback. `Exact` and
+    /// `Heuristic` pick the cost model's slot; `CommBb` and `Hedged`
+    /// refuse simplified instances (which already have a proven
+    /// route); `Paper` refuses every communication-aware instance and
+    /// every NP-hard or strict-bound simplified one.
     ///
     /// [`comm_bb::MAX_STAGES`]: repliflow_exact::comm_bb::MAX_STAGES
     /// [`comm_bb::MAX_PROCS`]: repliflow_exact::comm_bb::MAX_PROCS
-    pub fn resolve_comm(
+    pub fn route(
+        &self,
+        instance: &ProblemInstance,
+        pref: EnginePref,
+        budget: &Budget,
+    ) -> Result<(&dyn Engine, Option<FallbackReason>), SolveError> {
+        let variant = instance.variant();
+        if instance.cost_model.is_comm_aware() {
+            self.route_comm(pref, &variant, instance, budget)
+        } else {
+            let strict = instance.objective.is_strict();
+            let engine =
+                self.route_simplified(pref, &variant, strict, budget.fits_exact(instance))?;
+            Ok((engine, None))
+        }
+    }
+
+    /// The simplified arm of [`EngineRegistry::route`]; `fits_exact`
+    /// is the answer of [`Budget::fits_exact`].
+    fn route_simplified(
         &self,
         pref: EnginePref,
         variant: &Variant,
-        instance: &repliflow_core::instance::ProblemInstance,
+        strict: bool,
+        fits_exact: bool,
+    ) -> Result<&dyn Engine, SolveError> {
+        let polynomial = !strict && matches!(variant.paper_complexity(), Complexity::Polynomial(_));
+        let refused: &dyn Engine = match pref {
+            EnginePref::Auto | EnginePref::Paper if polynomial => return Ok(&self.paper),
+            EnginePref::Auto if fits_exact => return Ok(&self.exact),
+            EnginePref::Auto | EnginePref::Heuristic => return Ok(&self.heuristic),
+            EnginePref::Exact => return Ok(&self.exact),
+            EnginePref::Paper => &self.paper,
+            EnginePref::CommBb => &self.comm_bb,
+            EnginePref::Hedged => &self.hedged,
+        };
+        Err(SolveError::Unsupported {
+            engine: refused.name(),
+            variant: *variant,
+        })
+    }
+
+    /// The communication-aware arm of [`EngineRegistry::route`].
+    fn route_comm(
+        &self,
+        pref: EnginePref,
+        variant: &Variant,
+        instance: &ProblemInstance,
         budget: &Budget,
     ) -> Result<(&dyn Engine, Option<FallbackReason>), SolveError> {
         match pref {
-            EnginePref::Paper => Err(SolveError::Unsupported {
-                engine: self.paper.name(),
-                variant: *variant,
-            }),
-            EnginePref::Exact => Ok((&self.comm_exact, None)),
-            EnginePref::CommBb => Ok((&self.comm_bb, None)),
-            EnginePref::Hedged => Ok((&self.hedged, None)),
-            EnginePref::Heuristic => Ok((&self.comm_heuristic, None)),
-            EnginePref::Auto => {
-                use repliflow_core::workflow::Workflow;
-                let n_stages = instance.workflow.n_stages();
-                let n_procs = instance.platform.n_procs();
-                let leaves = match &instance.workflow {
-                    Workflow::Pipeline(_) => None,
-                    Workflow::Fork(f) => Some(f.n_leaves()),
-                    Workflow::ForkJoin(fj) => Some(fj.n_leaves()),
-                };
-                // comm-exact enumerates the full mapping space on the
-                // dense-DP masks, so it keeps their representation caps.
-                let exact_representable = n_procs <= repliflow_exact::pipeline::MAX_PROCS
-                    && leaves.unwrap_or(0) <= repliflow_exact::fork::MAX_LEAVES;
-                if budget.allows_comm_exact(n_stages, n_procs) && exact_representable {
-                    return Ok((&self.comm_exact, None));
-                }
-                // comm-bb cannot enforce a mapping-level reliability
-                // bound (its pruning sees only period/latency lower
-                // bounds), so binding bounds route straight to the
-                // heuristic portfolio, whose scorer rejects unreliable
-                // mappings.
-                if matches!(
-                    repliflow_core::reliability::reduce(instance),
-                    repliflow_core::reliability::ReliabilityReduction::Binding(_)
-                ) {
-                    return Ok((&self.comm_heuristic, Some(FallbackReason::ReliabilityBound)));
-                }
-                let stage_cap = budget
-                    .max_comm_bb_stages
-                    .min(repliflow_exact::comm_bb::MAX_STAGES);
-                let stages_ok = n_stages <= stage_cap;
-                let leaves_ok = leaves.is_none_or(|l| l <= budget.max_comm_bb_fork_leaves);
-                let procs_ok = n_procs <= budget.max_comm_bb_procs
-                    || (n_procs <= repliflow_exact::comm_bb::MAX_PROCS
-                        && Self::symmetry_width(instance)
-                            .is_some_and(|w| w <= 1u128 << budget.max_comm_bb_procs.min(20)));
-                if stages_ok && leaves_ok && procs_ok {
-                    return Ok((&self.comm_bb, None));
-                }
-                let reason = if !stages_ok {
-                    FallbackReason::CommBbStages {
-                        n_stages,
-                        cap: stage_cap,
-                    }
-                } else if !leaves_ok {
-                    FallbackReason::CommBbForkLeaves {
-                        leaves: leaves.unwrap_or(0),
-                        cap: budget.max_comm_bb_fork_leaves,
-                    }
-                } else {
-                    FallbackReason::CommBbProcs {
-                        n_procs,
-                        cap: if n_procs > repliflow_exact::comm_bb::MAX_PROCS {
-                            repliflow_exact::comm_bb::MAX_PROCS
-                        } else {
-                            budget.max_comm_bb_procs
-                        },
-                    }
-                };
-                Ok((&self.comm_heuristic, Some(reason)))
+            EnginePref::Paper => {
+                return Err(SolveError::Unsupported {
+                    engine: self.paper.name(),
+                    variant: *variant,
+                })
             }
+            EnginePref::Exact => return Ok((&self.comm_exact, None)),
+            EnginePref::CommBb => return Ok((&self.comm_bb, None)),
+            EnginePref::Hedged => return Ok((&self.hedged, None)),
+            EnginePref::Heuristic => return Ok((&self.comm_heuristic, None)),
+            EnginePref::Auto => {}
         }
+        if budget.fits_exact(instance) {
+            return Ok((&self.comm_exact, None));
+        }
+        if matches!(reduce(instance), ReliabilityReduction::Binding(_)) {
+            return Ok((&self.comm_heuristic, Some(FallbackReason::ReliabilityBound)));
+        }
+        let n_stages = instance.workflow.n_stages();
+        let n_procs = instance.platform.n_procs();
+        let leaves = match &instance.workflow {
+            Workflow::Pipeline(_) => None,
+            Workflow::Fork(f) => Some(f.n_leaves()),
+            Workflow::ForkJoin(fj) => Some(fj.n_leaves()),
+        };
+        let stage_cap = budget
+            .max_comm_bb_stages
+            .min(repliflow_exact::comm_bb::MAX_STAGES);
+        let stages_ok = n_stages <= stage_cap;
+        let leaves_ok = leaves.is_none_or(|l| l <= budget.max_comm_bb_fork_leaves);
+        let procs_ok = n_procs <= budget.max_comm_bb_procs
+            || (n_procs <= repliflow_exact::comm_bb::MAX_PROCS
+                && Self::symmetry_width(instance)
+                    .is_some_and(|w| w <= 1u128 << budget.max_comm_bb_procs.min(20)));
+        if stages_ok && leaves_ok && procs_ok {
+            return Ok((&self.comm_bb, None));
+        }
+        let reason = if !stages_ok {
+            FallbackReason::CommBbStages {
+                n_stages,
+                cap: stage_cap,
+            }
+        } else if !leaves_ok {
+            FallbackReason::CommBbForkLeaves {
+                leaves: leaves.unwrap_or(0),
+                cap: budget.max_comm_bb_fork_leaves,
+            }
+        } else {
+            FallbackReason::CommBbProcs {
+                n_procs,
+                cap: if n_procs > repliflow_exact::comm_bb::MAX_PROCS {
+                    repliflow_exact::comm_bb::MAX_PROCS
+                } else {
+                    budget.max_comm_bb_procs
+                },
+            }
+        };
+        Ok((&self.comm_heuristic, Some(reason)))
     }
 
     /// The symmetry-reduced root branching width of a comm-aware
@@ -164,7 +211,7 @@ impl EngineRegistry {
     /// equivalence classes (saturating), the quantity the comm-bb
     /// canonical subset enumeration actually branches over. `None` for
     /// non-comm instances.
-    fn symmetry_width(instance: &repliflow_core::instance::ProblemInstance) -> Option<u128> {
+    fn symmetry_width(instance: &ProblemInstance) -> Option<u128> {
         let CostModel::WithComm { network, .. } = &instance.cost_model else {
             return None;
         };
@@ -176,9 +223,25 @@ impl EngineRegistry {
         )
     }
 
-    /// The engine a **simplified-model** request for `variant` (with
-    /// the given instance size) routes to. Fails only for
-    /// [`EnginePref::Paper`] on an NP-hard cell.
+    /// The engine a **communication-aware** request routes to: the comm
+    /// arm of [`EngineRegistry::route`], with the refusal error naming
+    /// `variant`.
+    pub fn resolve_comm(
+        &self,
+        pref: EnginePref,
+        variant: &Variant,
+        instance: &ProblemInstance,
+        budget: &Budget,
+    ) -> Result<(&dyn Engine, Option<FallbackReason>), SolveError> {
+        self.route_comm(pref, variant, instance, budget)
+    }
+
+    /// The engine a **simplified-model** request with a non-strict
+    /// objective routes to, from its cell and size alone: the
+    /// simplified arm of [`EngineRegistry::route`], with the exact
+    /// guard evaluated on the leaf count the graph class implies
+    /// (`n_stages − 1` for forks, `n_stages − 2` for fork-joins). Fails
+    /// only where `route` refuses.
     pub fn resolve(
         &self,
         pref: EnginePref,
@@ -187,61 +250,85 @@ impl EngineRegistry {
         n_procs: usize,
         budget: &Budget,
     ) -> Result<&dyn Engine, SolveError> {
-        match pref {
-            EnginePref::Exact => Ok(&self.exact),
-            EnginePref::Heuristic => Ok(&self.heuristic),
-            // the branch-and-bound engine prices mappings under the
-            // general model only; simplified instances have the Pareto
-            // DP (`exact`) as their proven-optimal route
-            EnginePref::CommBb => Err(SolveError::Unsupported {
-                engine: self.comm_bb.name(),
-                variant: *variant,
-            }),
-            // racing only pays where solve-time tails exist — i.e. on
-            // comm-aware instances; simplified ones are refused too
-            EnginePref::Hedged => Err(SolveError::Unsupported {
-                engine: self.hedged.name(),
-                variant: *variant,
-            }),
-            EnginePref::Paper => {
-                if self.paper.supports(variant) {
-                    Ok(&self.paper)
-                } else {
-                    Err(SolveError::Unsupported {
-                        engine: self.paper.name(),
-                        variant: *variant,
-                    })
-                }
-            }
-            EnginePref::Auto => {
-                if self.paper.supports(variant) {
-                    Ok(&self.paper)
-                } else if budget.allows_exact(n_stages, n_procs)
-                    && crate::engines::within_exact_capacity(n_stages, n_procs)
-                {
-                    Ok(&self.exact)
-                } else {
-                    Ok(&self.heuristic)
-                }
-            }
-        }
+        let leaves = match variant.graph {
+            GraphClass::HomPipeline | GraphClass::HetPipeline => 0,
+            GraphClass::HomFork | GraphClass::HetFork => n_stages.saturating_sub(1),
+            GraphClass::HomForkJoin | GraphClass::HetForkJoin => n_stages.saturating_sub(2),
+        };
+        let fits_exact = budget.allows_exact(n_stages, n_procs)
+            && crate::engines::representable(n_procs, leaves);
+        self.route_simplified(pref, variant, false, fits_exact)
     }
 
-    /// Solves one request end to end: classify, route, solve, validate,
-    /// report. Honors the request's serving controls: an expired
-    /// [`Deadline`] fails fast with [`SolveError::DeadlineExceeded`], a
-    /// cancelled [`CancelToken`] with [`SolveError::Cancelled`], and a
-    /// live deadline clamps the effective `bb_time_limit_ms` so a
-    /// budgeted search degrades to its incumbent instead of overrunning.
+    /// Solves one request end to end: serving controls, reliability
+    /// reduction, route, solve, validate, report.
+    ///
+    /// An expired [`Deadline`] fails fast with
+    /// [`SolveError::DeadlineExceeded`], a cancelled [`CancelToken`]
+    /// with [`SolveError::Cancelled`], and a live deadline clamps the
+    /// effective `bb_time_limit_ms` so a budgeted search degrades to
+    /// its incumbent instead of overrunning. A mis-sized network is a
+    /// request error before anything else looks at the instance.
+    ///
+    /// Reliability-bounded objectives are *reduced* before routing
+    /// ([`reliability::reduce`]): a bound above 1 is proven
+    /// unattainable outright (no mapping of any kind can reach it), and
+    /// a bound that cannot bind — fail-free platform, or bound ≤ 0 —
+    /// solves as its unbounded counterpart while still reporting under
+    /// the requested variant. Only genuinely binding bounds reach the
+    /// engines.
+    ///
+    /// [`reliability::reduce`]: repliflow_core::reliability::reduce
     pub fn solve(&self, request: &SolveRequest) -> Result<SolveReport, SolveError> {
-        self.solve_parts(
-            &request.instance,
-            request.engine,
-            &request.budget,
-            request.validate_witness,
-            request.deadline,
-            request.cancel.as_ref(),
-        )
+        let budget =
+            Self::effective_budget(&request.budget, request.deadline, request.cancel.as_ref())?;
+        let instance = &request.instance;
+        if let CostModel::WithComm { network, .. } = &instance.cost_model {
+            if network.n_procs() != instance.platform.n_procs() {
+                return Err(SolveError::NetworkMismatch {
+                    expected: instance.platform.n_procs(),
+                    got: network.n_procs(),
+                });
+            }
+        }
+        let (pref, validate) = (request.engine, request.validate_witness);
+        match reduce(instance) {
+            ReliabilityReduction::Unattainable => {
+                // success probabilities never exceed 1, so no engine
+                // could do better than proving this infeasible
+                let variant = instance.variant();
+                Ok(SolveReport {
+                    variant,
+                    complexity: variant.paper_complexity(),
+                    cost_model: instance.cost_model.clone(),
+                    engine_used: "reliability",
+                    optimality: Optimality::Infeasible,
+                    mapping: None,
+                    period: None,
+                    latency: None,
+                    objective_value: None,
+                    search: None,
+                    fallback: None,
+                    provenance: crate::report::Provenance::Computed,
+                    wall_time: std::time::Duration::ZERO,
+                    canonical: Default::default(),
+                })
+            }
+            ReliabilityReduction::Trivial(objective) => {
+                let relaxed = ProblemInstance {
+                    objective,
+                    ..instance.clone()
+                };
+                let mut report = self.solve_routed(&relaxed, pref, &budget, validate)?;
+                // classification follows the *requested* objective
+                report.variant = instance.variant();
+                report.complexity = report.variant.paper_complexity();
+                Ok(report)
+            }
+            ReliabilityReduction::NotBounded | ReliabilityReduction::Binding(_) => {
+                self.solve_routed(instance, pref, &budget, validate)
+            }
+        }
     }
 
     /// Applies the serving controls to a budget: fails fast on expired
@@ -279,126 +366,18 @@ impl EngineRegistry {
         Ok(effective)
     }
 
-    /// Borrow-based core of [`EngineRegistry::solve`], shared with the
-    /// batch path so fan-out never clones instances.
-    ///
-    /// Reliability-bounded objectives are *reduced* here before any
-    /// engine runs ([`reliability::reduce`]): a bound above 1 is proven
-    /// unattainable outright (no mapping of any kind can reach it), and
-    /// a bound that cannot bind — fail-free platform, or bound ≤ 0 —
-    /// solves as its unbounded counterpart while still reporting under
-    /// the requested variant. Only genuinely binding bounds reach the
-    /// engines.
-    ///
-    /// [`reliability::reduce`]: repliflow_core::reliability::reduce
-    pub(crate) fn solve_parts(
-        &self,
-        instance: &repliflow_core::instance::ProblemInstance,
-        pref: EnginePref,
-        budget: &Budget,
-        validate_witness: bool,
-        deadline: Option<Deadline>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SolveReport, SolveError> {
-        let effective = Self::effective_budget(budget, deadline, cancel)?;
-        let budget = &effective;
-        use repliflow_core::reliability::ReliabilityReduction;
-        match repliflow_core::reliability::reduce(instance) {
-            ReliabilityReduction::Unattainable => {
-                // success probabilities never exceed 1, so no engine
-                // could do better than proving this infeasible — but a
-                // mis-sized network is still a request error first.
-                if let CostModel::WithComm { network, .. } = &instance.cost_model {
-                    if network.n_procs() != instance.platform.n_procs() {
-                        return Err(SolveError::NetworkMismatch {
-                            expected: instance.platform.n_procs(),
-                            got: network.n_procs(),
-                        });
-                    }
-                }
-                let variant = instance.variant();
-                Ok(SolveReport {
-                    variant,
-                    complexity: variant.paper_complexity(),
-                    cost_model: instance.cost_model.clone(),
-                    engine_used: "reliability",
-                    optimality: Optimality::Infeasible,
-                    mapping: None,
-                    period: None,
-                    latency: None,
-                    objective_value: None,
-                    search: None,
-                    fallback: None,
-                    provenance: crate::report::Provenance::Computed,
-                    wall_time: std::time::Duration::ZERO,
-                    canonical: Default::default(),
-                })
-            }
-            ReliabilityReduction::Trivial(objective) => {
-                let relaxed = repliflow_core::instance::ProblemInstance {
-                    objective,
-                    ..instance.clone()
-                };
-                let mut report = self.solve_routed(&relaxed, pref, budget, validate_witness)?;
-                // classification follows the *requested* objective
-                report.variant = instance.variant();
-                report.complexity = report.variant.paper_complexity();
-                Ok(report)
-            }
-            ReliabilityReduction::NotBounded | ReliabilityReduction::Binding(_) => {
-                self.solve_routed(instance, pref, budget, validate_witness)
-            }
-        }
-    }
-
     /// Routes and runs one solve under an already-effective budget (the
-    /// reliability reduction and serving controls have been applied by
-    /// [`EngineRegistry::solve_parts`]).
+    /// serving controls and reliability reduction have been applied by
+    /// [`EngineRegistry::solve`]).
     fn solve_routed(
         &self,
-        instance: &repliflow_core::instance::ProblemInstance,
+        instance: &ProblemInstance,
         pref: EnginePref,
         budget: &Budget,
         validate_witness: bool,
     ) -> Result<SolveReport, SolveError> {
+        let (engine, fallback) = self.route(instance, pref, budget)?;
         let variant = instance.variant();
-        let n_stages = instance.workflow.n_stages();
-        let n_procs = instance.platform.n_procs();
-        let mut fallback = None;
-        let engine: &dyn Engine = if let CostModel::WithComm { network, .. } = &instance.cost_model
-        {
-            // Surface a mis-sized network as a request error up front
-            // instead of a witness-validation failure later.
-            if network.n_procs() != n_procs {
-                return Err(SolveError::NetworkMismatch {
-                    expected: n_procs,
-                    got: network.n_procs(),
-                });
-            }
-            let (engine, reason) = self.resolve_comm(pref, &variant, instance, budget)?;
-            fallback = reason;
-            engine
-        } else if pref == EnginePref::Auto
-            && (instance.objective.is_strict() || !self.paper.supports(&variant))
-            && budget.allows_exact(n_stages, n_procs)
-            && crate::engines::instance_fits(instance)
-        {
-            // Auto routing with the concrete instance in hand can use
-            // the precise shape-aware capacity check (the variant-level
-            // `resolve` has to approximate by stage count); everything
-            // else goes through the same resolution path. Strict
-            // ε-constraint bounds bypass the paper engine even on
-            // polynomial cells: the theorem algorithms take non-strict
-            // bounds only.
-            &self.exact
-        } else if pref == EnginePref::Auto && instance.objective.is_strict() {
-            // strict bound beyond exact capacity: the heuristic
-            // portfolio scores strict violations to +∞, so it is the
-            // only remaining route that respects the bound
-            &self.heuristic
-        } else {
-            self.resolve(pref, &variant, n_stages, n_procs, budget)?
-        };
 
         let start = Instant::now();
         let outcome = engine.solve(instance, budget);
@@ -444,7 +423,9 @@ impl EngineRegistry {
         // Defense in depth: an engine may legally return a mapping that
         // misses a bi-criteria or reliability bound (heuristics); never
         // report it as a solution.
-        let optimality = if meets_bound(instance, solved.period, solved.latency)
+        let optimality = if instance
+            .objective
+            .meets_bound(solved.period, solved.latency)
             && instance.meets_reliability_bound(&solved.mapping)
         {
             optimality
@@ -474,7 +455,7 @@ impl EngineRegistry {
     /// independent implementation of the same semantics.
     fn validate(
         &self,
-        instance: &repliflow_core::instance::ProblemInstance,
+        instance: &ProblemInstance,
         solved: &repliflow_algorithms::Solved,
     ) -> Result<(), SolveError> {
         solved
@@ -508,7 +489,7 @@ impl EngineRegistry {
     /// must all agree.
     fn cross_check_sim(
         &self,
-        instance: &repliflow_core::instance::ProblemInstance,
+        instance: &ProblemInstance,
         solved: &repliflow_algorithms::Solved,
     ) -> Result<(), SolveError> {
         use repliflow_core::comm::IntervalAlloc;
@@ -589,7 +570,7 @@ impl EngineRegistry {
     /// isolated-data-set latency with the report's claim.
     fn cross_check_fork_sim(
         &self,
-        instance: &repliflow_core::instance::ProblemInstance,
+        instance: &ProblemInstance,
         fork: &repliflow_core::workflow::Fork,
         network: &repliflow_core::comm::Network,
         comm: repliflow_core::comm::CommModel,
@@ -637,7 +618,7 @@ impl EngineRegistry {
     /// isolated-data-set latency with the report's claim.
     fn cross_check_forkjoin_sim(
         &self,
-        instance: &repliflow_core::instance::ProblemInstance,
+        instance: &ProblemInstance,
         fj: &repliflow_core::workflow::ForkJoin,
         network: &repliflow_core::comm::Network,
         comm: repliflow_core::comm::CommModel,

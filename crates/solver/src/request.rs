@@ -67,8 +67,10 @@ pub enum Quality {
     /// Adds seeded simulated annealing with the default schedule.
     #[default]
     Balanced,
-    /// Adds a long annealing schedule (4x the steps, slower cooling) —
-    /// the escalation tier for hard communication-aware instances.
+    /// Runs the Balanced anneal, keeps its result, then anneals a long
+    /// schedule (4x the steps, slower cooling) from it — a superset of
+    /// Balanced's candidates, so never worse. The escalation tier for
+    /// hard communication-aware instances.
     Thorough,
 }
 
@@ -83,17 +85,24 @@ impl Quality {
         }
     }
 
-    /// The annealing schedule of this tier (`None` = skip annealing).
-    pub fn annealing_schedule(self) -> Option<repliflow_heuristics::annealing::Schedule> {
+    /// The annealing chain of this tier: each schedule anneals from the
+    /// previous one's result (empty = skip annealing). Every tier's
+    /// chain extends the one below it, which is what keeps the tiers
+    /// monotone: a higher tier only adds candidates.
+    pub fn annealing_schedules(self) -> Vec<repliflow_heuristics::annealing::Schedule> {
         use repliflow_heuristics::annealing::Schedule;
+        let balanced = Schedule::default();
         match self {
-            Quality::Fast => None,
-            Quality::Balanced => Some(Schedule::default()),
-            Quality::Thorough => Some(Schedule {
-                steps: 8000,
-                cooling: 0.998,
-                ..Schedule::default()
-            }),
+            Quality::Fast => Vec::new(),
+            Quality::Balanced => vec![balanced],
+            Quality::Thorough => vec![
+                balanced,
+                Schedule {
+                    steps: 8000,
+                    cooling: 0.998,
+                    ..balanced
+                },
+            ],
         }
     }
 }
@@ -205,23 +214,67 @@ impl Budget {
         n_stages <= self.max_comm_exact_stages && n_procs <= self.max_comm_exact_procs
     }
 
-    /// Whether the instance is small enough for the communication-aware
-    /// branch-and-bound engine (`comm-bb`) on the `Auto` route.
-    pub fn allows_comm_bb(&self, n_stages: usize, n_procs: usize) -> bool {
-        n_stages <= self.max_comm_bb_stages && n_procs <= self.max_comm_bb_procs
+    /// Whether exhaustive search takes `instance` on the `Auto` route:
+    /// within this budget's exact guard for the instance's cost model
+    /// ([`Budget::allows_exact`] or [`Budget::allows_comm_exact`]) and
+    /// within the exhaustive solvers' representation caps. The one
+    /// exact-fit predicate: the registry's routing, the Pareto-front
+    /// router and the CLI's slow-search warning all ask it.
+    pub fn fits_exact(&self, instance: &ProblemInstance) -> bool {
+        let (n_stages, n_procs) = (instance.workflow.n_stages(), instance.platform.n_procs());
+        let within_budget = if instance.cost_model.is_comm_aware() {
+            self.allows_comm_exact(n_stages, n_procs)
+        } else {
+            self.allows_exact(n_stages, n_procs)
+        };
+        within_budget && crate::engines::instance_fits(instance)
     }
 
-    /// Shape-aware refinement of [`Budget::allows_comm_bb`]: fork and
-    /// fork-join instances additionally respect the leaf guard
-    /// ([`Budget::max_comm_bb_fork_leaves`]).
-    pub fn allows_comm_bb_instance(&self, instance: &ProblemInstance) -> bool {
-        use repliflow_core::workflow::Workflow;
-        let leaves_ok = match &instance.workflow {
-            Workflow::Pipeline(_) => true,
-            Workflow::Fork(f) => f.n_leaves() <= self.max_comm_bb_fork_leaves,
-            Workflow::ForkJoin(fj) => fj.n_leaves() <= self.max_comm_bb_fork_leaves,
-        };
-        leaves_ok && self.allows_comm_bb(instance.workflow.n_stages(), instance.platform.n_procs())
+    /// Feeds every budget knob to `hasher`, in a fixed order: the part
+    /// of a request fingerprint the budget owns. The destructuring
+    /// names every field, so a new field does not compile until it is
+    /// hashed here.
+    pub fn write_fingerprint(&self, hasher: &mut Fingerprinter) {
+        let Budget {
+            max_exact_stages,
+            max_exact_procs,
+            max_comm_exact_stages,
+            max_comm_exact_procs,
+            max_comm_bb_stages,
+            max_comm_bb_procs,
+            max_comm_bb_fork_leaves,
+            bb_node_limit,
+            bb_time_limit_ms,
+            local_search_rounds,
+            hedge_delay_ms,
+            quality,
+            seed,
+            max_front_points,
+            front_time_limit_ms,
+        } = *self;
+        for knob in [
+            max_exact_stages as u64,
+            max_exact_procs as u64,
+            max_comm_exact_stages as u64,
+            max_comm_exact_procs as u64,
+            max_comm_bb_stages as u64,
+            max_comm_bb_procs as u64,
+            max_comm_bb_fork_leaves as u64,
+            bb_node_limit,
+            bb_time_limit_ms,
+            local_search_rounds as u64,
+            hedge_delay_ms,
+            max_front_points as u64,
+            front_time_limit_ms,
+        ] {
+            hasher.write_u64(knob);
+        }
+        hasher.write_tag(match quality {
+            Quality::Fast => 0,
+            Quality::Balanced => 1,
+            Quality::Thorough => 2,
+        });
+        hasher.write_u64(seed);
     }
 
     /// The branch-and-bound limits this budget implies.
@@ -447,30 +500,7 @@ impl SolveRequest {
             EnginePref::CommBb => 4,
             EnginePref::Hedged => 5,
         });
-        let b = &self.budget;
-        for knob in [
-            b.max_exact_stages as u64,
-            b.max_exact_procs as u64,
-            b.max_comm_exact_stages as u64,
-            b.max_comm_exact_procs as u64,
-            b.max_comm_bb_stages as u64,
-            b.max_comm_bb_procs as u64,
-            b.max_comm_bb_fork_leaves as u64,
-            b.bb_node_limit,
-            b.bb_time_limit_ms,
-            b.local_search_rounds as u64,
-            b.hedge_delay_ms,
-            b.max_front_points as u64,
-            b.front_time_limit_ms,
-        ] {
-            hasher.write_u64(knob);
-        }
-        hasher.write_tag(match b.quality {
-            Quality::Fast => 0,
-            Quality::Balanced => 1,
-            Quality::Thorough => 2,
-        });
-        hasher.write_u64(b.seed);
+        self.budget.write_fingerprint(&mut hasher);
         hasher.write_tag(self.validate_witness as u8);
         hasher.finish()
     }

@@ -67,14 +67,13 @@
 //! [`Deadline`]: crate::Deadline
 //! [`CancelToken`]: crate::CancelToken
 
-use crate::batch::BatchOptions;
 use crate::cache::{CacheStats, SolveCache};
 use crate::engines::HedgeStats;
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::pool::WorkerPool;
 use crate::registry::EngineRegistry;
 use crate::report::{Optimality, Provenance, SolveError, SolveReport};
-use crate::request::{Budget, EnginePref, Quality, SolveRequest};
+use crate::request::{Budget, CancelToken, Deadline, EnginePref, Quality, SolveRequest};
 use repliflow_core::fingerprint::InstanceFingerprint;
 use repliflow_core::instance::ProblemInstance;
 use repliflow_sync::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +98,41 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// Default cap on concurrently running background escalations (see
 /// [`SolverBuilder::escalation`]).
 pub const DEFAULT_MAX_ESCALATIONS: usize = 2;
+
+/// Options shared by every instance of a [`SolverService`] batch.
+#[derive(Clone, Debug)]
+pub struct BatchOptions {
+    /// Engine routing preference for every instance.
+    pub engine: EnginePref,
+    /// Budget for every instance.
+    pub budget: Budget,
+    /// Witness validation for every report.
+    pub validate_witness: bool,
+    /// Concurrency bound; `None` submits every distinct instance as its
+    /// own pool job. This bounds *concurrency* by chunking the batch,
+    /// it does not spawn threads.
+    pub threads: Option<NonZeroUsize>,
+    /// Optional per-batch deadline applied to every instance (see
+    /// [`Deadline`] for the fail-fast / degrade semantics).
+    pub deadline: Option<Deadline>,
+    /// Optional cancellation token checked before each instance starts:
+    /// cancelling mid-batch makes the not-yet-started remainder fail
+    /// fast with [`SolveError::Cancelled`].
+    pub cancel: Option<CancelToken>,
+}
+
+impl Default for BatchOptions {
+    fn default() -> Self {
+        BatchOptions {
+            engine: EnginePref::Auto,
+            budget: Budget::default(),
+            validate_witness: true,
+            threads: None,
+            deadline: None,
+            cancel: None,
+        }
+    }
+}
 
 /// Wall-time-per-engine accumulator in [`ServiceStats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1020,7 +1054,6 @@ pub fn batch_threads(n: usize) -> Option<NonZeroUsize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::CancelToken;
     use repliflow_core::gen::Gen;
     use repliflow_core::instance::Objective;
 
@@ -1128,5 +1161,108 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..13).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn batch_order_matches_input_order() {
+        let mut gen = Gen::new(0xBA7C);
+        let instances: Vec<ProblemInstance> = (0..17)
+            .map(|i| {
+                ProblemInstance::new(
+                    gen.pipeline(1 + i % 5, 1, 9),
+                    gen.hom_platform(1 + i % 3, 1, 4),
+                    i % 2 == 0,
+                    Objective::Period,
+                )
+            })
+            .collect();
+        let service = SolverService::builder().workers(3).no_cache().build();
+        let reports = service.solve_batch(&instances);
+        assert_eq!(reports.len(), instances.len());
+        let registry = EngineRegistry::default();
+        for (instance, report) in instances.iter().zip(&reports) {
+            let report = report.as_ref().unwrap();
+            assert_eq!(report.variant, instance.variant());
+            // a serial solve must agree with the pooled batch
+            let serial = registry
+                .solve(&SolveRequest::new(instance.clone()))
+                .unwrap();
+            assert_eq!(serial.objective_value, report.objective_value);
+        }
+    }
+
+    #[test]
+    fn split_boundaries_preserve_order_for_every_size() {
+        // The chunked path: for every batch size from empty to beyond
+        // 2x the concurrency bound (including sizes below it, where
+        // naive chunking could submit empty chunks or misalign output
+        // slots), report `i` must correspond to instance `i` and every
+        // slot must be written exactly once.
+        let service = SolverService::builder().workers(2).no_cache().build();
+        let registry = EngineRegistry::default();
+        let mut gen = Gen::new(0xBA7E);
+        for threads in [1usize, 2, 3, 5, 8] {
+            let max = 2 * threads + 1;
+            let pool: Vec<ProblemInstance> = (0..max)
+                .map(|i| {
+                    ProblemInstance::new(
+                        // distinct stage counts make any reordering of the
+                        // reports observable through the variant/mapping
+                        gen.pipeline(1 + i, 1, 9),
+                        gen.hom_platform(1 + i % 3, 1, 4),
+                        false,
+                        Objective::Period,
+                    )
+                })
+                .collect();
+            for size in 0..=max {
+                let instances = &pool[..size];
+                let options = BatchOptions {
+                    threads: batch_threads(threads),
+                    ..BatchOptions::default()
+                };
+                let reports = service.solve_batch_with(instances, &options);
+                assert_eq!(reports.len(), size, "threads {threads}, size {size}");
+                for (i, (instance, report)) in instances.iter().zip(&reports).enumerate() {
+                    let report = report.as_ref().unwrap_or_else(|e| {
+                        panic!("threads {threads}, size {size}, slot {i}: {e}")
+                    });
+                    assert_eq!(
+                        report.variant,
+                        instance.variant(),
+                        "threads {threads}, size {size}: slot {i} holds another instance's report"
+                    );
+                    let serial = registry
+                        .solve(&SolveRequest::new(instance.clone()))
+                        .unwrap();
+                    assert_eq!(
+                        serial.objective_value, report.objective_value,
+                        "threads {threads}, size {size}, slot {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_option_still_covers_all() {
+        let mut gen = Gen::new(0xBA7D);
+        let instances: Vec<ProblemInstance> = (0..5)
+            .map(|_| {
+                ProblemInstance::new(
+                    gen.fork(2, 1, 6),
+                    gen.het_platform(2, 1, 4),
+                    false,
+                    Objective::Latency,
+                )
+            })
+            .collect();
+        let options = BatchOptions {
+            threads: batch_threads(1),
+            ..BatchOptions::default()
+        };
+        let service = SolverService::builder().workers(2).build();
+        let reports = service.solve_batch_with(&instances, &options);
+        assert!(reports.iter().all(|r| r.as_ref().unwrap().has_mapping()));
     }
 }

@@ -5,10 +5,12 @@
 //! simplified-model result on the golden instance set.
 
 use repliflow_core::comm::{pipeline_period_with_comm, IntervalAlloc};
+use repliflow_core::gen::Gen;
 use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::mapping::Mode;
 use repliflow_core::platform::Platform;
-use repliflow_core::workflow::{Pipeline, Workflow};
+use repliflow_core::workflow::{Fork, ForkJoin, Pipeline, Workflow};
+use repliflow_heuristics::score::score_instance;
 use repliflow_solver::{
     Budget, CommModel, CostModel, EnginePref, EngineRegistry, FallbackReason, Network, Optimality,
     Quality, SolveError, SolveRequest,
@@ -428,39 +430,101 @@ fn one_port_never_beats_multi_port() {
     assert!(solve_with(CommModel::OnePort) >= solve_with(CommModel::BoundedMultiPort));
 }
 
-#[test]
-fn quality_tiers_never_worsen_the_heuristic_result() {
-    // Escalating Fast -> Balanced -> Thorough only adds candidates, so
-    // the portfolio's best can only improve (or stay equal).
-    let registry = EngineRegistry::default();
-    let instance = ProblemInstance {
-        workflow: Pipeline::with_data_sizes(
-            vec![9, 3, 7, 1, 5, 2, 8],
-            vec![3, 1, 4, 1, 5, 2, 6, 3],
+/// Seeded instances of every workflow shape, with data sizes so the
+/// communication-aware copies have real communication to price.
+fn seeded_shapes(gen: &mut Gen, case: usize) -> Vec<ProblemInstance> {
+    let objective = if case == 0 {
+        Objective::Period
+    } else {
+        Objective::Latency
+    };
+    let n = 4 + case;
+    let workflows: [Workflow; 3] = [
+        Pipeline::with_data_sizes(gen.positive_ints(n, 1, 9), gen.positive_ints(n + 1, 0, 6))
+            .into(),
+        Fork::with_data_sizes(
+            gen.int(1, 9),
+            gen.positive_ints(n, 1, 9),
+            gen.int(0, 6),
+            gen.int(1, 6),
+            gen.positive_ints(n, 0, 5),
         )
         .into(),
-        platform: Platform::heterogeneous(vec![4, 3, 2, 2, 1, 1]),
-        allow_data_parallel: false,
-        objective: Objective::Period,
-        cost_model: one_port(Network::uniform(6, 2)),
-    };
-    let solve_at = |quality: Quality| {
-        let budget = Budget::default().quality(quality);
-        let report = registry
-            .solve(
-                &SolveRequest::new(instance.clone())
-                    .engine(EnginePref::Heuristic)
-                    .budget(budget),
-            )
-            .unwrap();
-        assert_eq!(report.engine_used, "comm-heuristic");
-        report.objective_value.unwrap()
-    };
-    let fast = solve_at(Quality::Fast);
-    let balanced = solve_at(Quality::Balanced);
-    let thorough = solve_at(Quality::Thorough);
-    assert!(balanced <= fast);
-    assert!(thorough <= balanced);
+        ForkJoin::with_data_sizes(
+            gen.int(1, 9),
+            gen.positive_ints(n, 1, 9),
+            gen.int(1, 6),
+            gen.int(0, 6),
+            gen.int(1, 6),
+            gen.positive_ints(n, 0, 5),
+        )
+        .into(),
+    ];
+    workflows
+        .into_iter()
+        .map(|workflow| ProblemInstance {
+            workflow,
+            platform: gen.het_platform(4, 1, 6),
+            allow_data_parallel: case == 0,
+            objective,
+            cost_model: CostModel::Simplified,
+        })
+        .collect()
+}
+
+#[test]
+fn quality_tiers_never_worsen_the_heuristic_result() {
+    // Fast's candidates are a subset of Balanced's, and Thorough anneals
+    // on from Balanced's annealed candidate while keeping it, so each
+    // tier only adds candidates: the portfolio's best score can only
+    // improve, on every shape and under both cost models.
+    let registry = EngineRegistry::default();
+    let mut gen = Gen::new(0x0A11);
+    let mut instances: Vec<ProblemInstance> = golden_instances()
+        .into_iter()
+        .filter(|(path, _)| path.ends_with("forkjoin_large_heuristic.json"))
+        .map(|(_, instance)| instance)
+        .collect();
+    assert_eq!(instances.len(), 1, "the fork-join golden is in the set");
+    for case in 0..2 {
+        instances.extend(seeded_shapes(&mut gen, case));
+    }
+    let instances = instances.into_iter().flat_map(|instance| {
+        let network = Network::uniform(instance.platform.n_procs(), 2);
+        let comm = ProblemInstance {
+            cost_model: one_port(network),
+            ..instance.clone()
+        };
+        [instance, comm]
+    });
+    for instance in instances {
+        let score_at = |quality: Quality| {
+            let report = registry
+                .solve(
+                    &SolveRequest::new(instance.clone())
+                        .engine(EnginePref::Heuristic)
+                        .budget(Budget::default().quality(quality)),
+                )
+                .unwrap();
+            score_instance(&instance, report.mapping.as_ref().unwrap())
+        };
+        let fast = score_at(Quality::Fast);
+        let balanced = score_at(Quality::Balanced);
+        let thorough = score_at(Quality::Thorough);
+        let label = format!(
+            "{} {:?}",
+            instance.variant(),
+            instance.cost_model.is_comm_aware()
+        );
+        assert!(
+            balanced <= fast,
+            "{label}: Balanced {balanced:?} > Fast {fast:?}"
+        );
+        assert!(
+            thorough <= balanced,
+            "{label}: Thorough {thorough:?} > Balanced {balanced:?}"
+        );
+    }
 }
 
 #[test]

@@ -336,7 +336,6 @@ fn comm_bb_proves_ten_leaf_fork_and_forkjoin_instances() {
     };
     for (label, instance) in [("fork l10 p4", fork), ("forkjoin l10 p5", forkjoin)] {
         let budget = Budget::default();
-        assert!(budget.allows_comm_bb_instance(&instance), "{label}");
         let report = registry
             .solve(&SolveRequest::new(instance.clone()).budget(budget))
             .unwrap();

@@ -6,7 +6,7 @@
 
 use repliflow_core::gen::Gen;
 use repliflow_core::instance::{CostModel, Objective, ProblemInstance};
-use repliflow_solver::engines::CommHeuristicEngine;
+use repliflow_solver::engines::HeuristicEngine;
 use repliflow_solver::{
     Budget, CommModel, Engine, EnginePref, EngineRun, HedgeStats, HedgedEngine, Optimality,
     SolveError, SolveRequest, SolverService,
@@ -38,7 +38,7 @@ struct Scripted {
     delay: Duration,
     optimal: bool,
     fail: bool,
-    inner: CommHeuristicEngine,
+    inner: HeuristicEngine,
     runs: AtomicU64,
 }
 
@@ -49,7 +49,7 @@ impl Scripted {
             delay: Duration::from_millis(delay_ms),
             optimal,
             fail: false,
-            inner: CommHeuristicEngine,
+            inner: HeuristicEngine::COMM,
             runs: AtomicU64::new(0),
         })
     }
@@ -60,7 +60,7 @@ impl Scripted {
             delay: Duration::from_millis(delay_ms),
             optimal: false,
             fail: true,
-            inner: CommHeuristicEngine,
+            inner: HeuristicEngine::COMM,
             runs: AtomicU64::new(0),
         })
     }
@@ -69,10 +69,6 @@ impl Scripted {
 impl Engine for Scripted {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn supports(&self, variant: &repliflow_core::instance::Variant) -> bool {
-        self.inner.supports(variant)
     }
 
     fn solve(&self, instance: &ProblemInstance, budget: &Budget) -> Result<EngineRun, SolveError> {

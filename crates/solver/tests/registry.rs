@@ -1,7 +1,7 @@
-//! Integration tests of the Table 1 auto-dispatch: every variant
-//! resolves to a supporting engine, every polynomial cell's report
-//! agrees with the exhaustive oracle, and `solve_batch` fans out
-//! correctly at scale.
+//! Integration tests of the Table 1 auto-dispatch: one routing truth
+//! table over every cell and every guard, every polynomial cell's
+//! report agrees with the exhaustive oracle, and `solve_batch` fans
+//! out correctly at scale.
 
 use repliflow_core::gen::Gen;
 use repliflow_core::instance::{
@@ -11,7 +11,8 @@ use repliflow_core::platform::Platform;
 use repliflow_core::rational::Rat;
 use repliflow_core::workflow::{Fork, ForkJoin, Pipeline, Workflow};
 use repliflow_solver::{
-    BatchOptions, Budget, EnginePref, EngineRegistry, Optimality, SolveRequest,
+    BatchOptions, Budget, CommModel, CostModel, Engine, EnginePref, EngineRegistry, Network,
+    Optimality, Quality, SolveError, SolveRequest, SolverService,
 };
 
 const GRAPHS: [GraphClass; 6] = [
@@ -135,27 +136,465 @@ fn instance_of(gen: &mut Gen, variant: &Variant) -> ProblemInstance {
     instance
 }
 
-#[test]
-fn every_variant_resolves_to_a_supporting_engine() {
-    let registry = EngineRegistry::default();
-    let budget = Budget::default();
+const PREFS: [EnginePref; 6] = [
+    EnginePref::Auto,
+    EnginePref::Exact,
+    EnginePref::Heuristic,
+    EnginePref::Paper,
+    EnginePref::CommBb,
+    EnginePref::Hedged,
+];
+
+/// The same instance under the general model over a uniform network.
+fn with_comm(instance: &ProblemInstance) -> ProblemInstance {
+    ProblemInstance {
+        cost_model: CostModel::WithComm {
+            network: Network::uniform(instance.platform.n_procs(), 2),
+            comm: CommModel::OnePort,
+            overlap: true,
+        },
+        ..instance.clone()
+    }
+}
+
+/// `n` heterogeneous weights (the first one is never repeated).
+fn het_weights(gen: &mut Gen, n: usize) -> Vec<u64> {
+    let mut weights = gen.positive_ints(n, 1, 9);
+    weights[0] = 10;
+    weights
+}
+
+/// A platform of `p` pairwise distinct speeds.
+fn distinct_speeds(p: usize) -> Platform {
+    Platform::heterogeneous((1..=p as u64).collect())
+}
+
+/// One row of the routing truth table.
+struct Probe {
+    label: String,
+    instance: ProblemInstance,
+    budget: Budget,
+    /// The engine `Auto` must pick, where the row pins it.
+    auto: Option<&'static str>,
+}
+
+/// Every row of the routing truth table: one small instance per
+/// Table 1 cell under both cost models, and instances on both sides of
+/// every routing guard with the engine `Auto` must pick for them.
+fn truth_table_probes() -> Vec<Probe> {
+    // The guards under test are the default ones; the search knobs are
+    // cut so every engine run in the table stays cheap.
+    let budget = Budget {
+        local_search_rounds: 2,
+        bb_node_limit: 2_000,
+        ..Budget::default()
+    }
+    .quality(Quality::Fast);
+    // the exact solvers' representation caps (20 processors / 20 fork
+    // leaves) bind ahead of a budget wide enough to admit them
+    let wide = Budget {
+        max_exact_stages: 64,
+        max_exact_procs: 64,
+        max_comm_exact_stages: 64,
+        max_comm_exact_procs: 64,
+        ..budget
+    };
+    let mut gen = Gen::new(0x7007);
+    let mut probes = Vec::new();
+    let mut row = |label: String, instance: ProblemInstance, budget: Budget, auto| {
+        probes.push(Probe {
+            label,
+            instance,
+            budget,
+            auto,
+        })
+    };
     for variant in all_variants() {
-        // small instances and far-beyond-threshold instances both resolve
-        for (n, p) in [(3, 3), (500, 200)] {
-            let engine = registry
-                .resolve(EnginePref::Auto, &variant, n, p, &budget)
-                .expect("auto routing never fails");
-            assert!(
-                engine.supports(&variant),
-                "auto-routed engine `{}` rejects [{variant}]",
-                engine.name()
+        let instance = instance_of(&mut gen, &variant);
+        row(
+            format!("cell {variant} [comm]"),
+            with_comm(&instance),
+            budget,
+            Some("comm-exact"),
+        );
+        row(format!("cell {variant}"), instance, budget, None);
+    }
+    // (label, instance, budget, Auto engine simplified, Auto engine comm)
+    let np_hard = |workflow: Workflow, platform: Platform| {
+        ProblemInstance::new(workflow, platform, false, Objective::Period)
+    };
+    let pipeline = |gen: &mut Gen, n: usize, platform: Platform| {
+        np_hard(Pipeline::new(het_weights(gen, n)).into(), platform)
+    };
+    // A one-stage pipeline is a polynomial cell; a strict bound takes it
+    // past the paper engine, so its processor count meets the exact
+    // guards on the `Auto` route.
+    let strict_on = |platform: Platform| {
+        ProblemInstance::new(
+            Pipeline::new(vec![7]),
+            platform,
+            false,
+            Objective::PeriodUnderLatencyStrict(Rat::int(1000)),
+        )
+    };
+    let fails = |p: usize| distinct_speeds(p).with_failure_probs(vec![Rat::new(1, 10); p]);
+    let reliable = |gen: &mut Gen, n: usize| {
+        ProblemInstance::new(
+            Pipeline::new(het_weights(gen, n)),
+            fails(3),
+            false,
+            Objective::LatencyUnderReliability(Rat::new(1, 2)),
+        )
+    };
+    let guarded: Vec<(&str, ProblemInstance, Budget, &str, &str)> = vec![
+        // the exact guard (10 stages / 12 processors) and the
+        // comm-exact guard (6 stages / 5 processors)
+        (
+            "n=10 p=2",
+            pipeline(&mut gen, 10, distinct_speeds(2)),
+            budget,
+            "exact",
+            "comm-bb",
+        ),
+        (
+            "n=11 p=2",
+            pipeline(&mut gen, 11, distinct_speeds(2)),
+            budget,
+            "heuristic",
+            "comm-bb",
+        ),
+        (
+            "strict p=12",
+            strict_on(distinct_speeds(12)),
+            budget,
+            "exact",
+            "comm-heuristic",
+        ),
+        (
+            "strict p=13",
+            strict_on(distinct_speeds(13)),
+            budget,
+            "heuristic",
+            "comm-heuristic",
+        ),
+        (
+            "n=6 p=2",
+            pipeline(&mut gen, 6, distinct_speeds(2)),
+            budget,
+            "exact",
+            "comm-exact",
+        ),
+        (
+            "n=7 p=2",
+            pipeline(&mut gen, 7, distinct_speeds(2)),
+            budget,
+            "exact",
+            "comm-bb",
+        ),
+        (
+            "n=2 p=5",
+            pipeline(&mut gen, 2, distinct_speeds(5)),
+            budget,
+            "exact",
+            "comm-exact",
+        ),
+        (
+            "n=2 p=6",
+            pipeline(&mut gen, 2, distinct_speeds(6)),
+            budget,
+            "exact",
+            "comm-bb",
+        ),
+        // the comm-bb guard: 12 stages, 10 fork leaves, 8 processors
+        (
+            "n=12 p=2",
+            pipeline(&mut gen, 12, distinct_speeds(2)),
+            budget,
+            "heuristic",
+            "comm-bb",
+        ),
+        (
+            "n=13 p=2",
+            pipeline(&mut gen, 13, distinct_speeds(2)),
+            budget,
+            "heuristic",
+            "comm-heuristic",
+        ),
+        (
+            "fork leaves=10",
+            np_hard(
+                Fork::new(3, het_weights(&mut gen, 10)).into(),
+                distinct_speeds(2),
+            ),
+            budget,
+            "heuristic",
+            "comm-bb",
+        ),
+        (
+            "fork leaves=11",
+            np_hard(
+                Fork::new(3, het_weights(&mut gen, 11)).into(),
+                distinct_speeds(2),
+            ),
+            budget,
+            "heuristic",
+            "comm-heuristic",
+        ),
+        (
+            "fork-join leaves=10",
+            np_hard(
+                ForkJoin::new(3, het_weights(&mut gen, 10), 2).into(),
+                distinct_speeds(2),
+            ),
+            budget,
+            "heuristic",
+            "comm-bb",
+        ),
+        (
+            "n=3 p=8",
+            pipeline(&mut gen, 3, distinct_speeds(8)),
+            budget,
+            "exact",
+            "comm-bb",
+        ),
+        (
+            "n=3 p=9",
+            pipeline(&mut gen, 3, distinct_speeds(9)),
+            budget,
+            "exact",
+            "comm-heuristic",
+        ),
+        // the symmetry escape hatch: homogeneous p = 33 is one class
+        (
+            "n=3 hom p=33",
+            pipeline(&mut gen, 3, Platform::homogeneous(33, 2)),
+            budget,
+            "paper",
+            "comm-bb",
+        ),
+        (
+            "n=3 p=33",
+            pipeline(&mut gen, 3, distinct_speeds(33)),
+            budget,
+            "heuristic",
+            "comm-heuristic",
+        ),
+        // comm-bb's wide-mask capacity
+        (
+            "n=3 hom p=128",
+            pipeline(&mut gen, 3, Platform::homogeneous(128, 2)),
+            budget,
+            "paper",
+            "comm-bb",
+        ),
+        (
+            "n=3 hom p=129",
+            pipeline(&mut gen, 3, Platform::homogeneous(129, 2)),
+            budget,
+            "paper",
+            "comm-heuristic",
+        ),
+        // representation caps ahead of the budget guards
+        (
+            "wide, strict p=20",
+            strict_on(distinct_speeds(20)),
+            wide,
+            "exact",
+            "comm-exact",
+        ),
+        (
+            "wide, strict p=21",
+            strict_on(distinct_speeds(21)),
+            wide,
+            "heuristic",
+            "comm-heuristic",
+        ),
+        // strict ε-bounds skip the paper engine on polynomial cells
+        (
+            "strict, hom n=3",
+            ProblemInstance::new(
+                gen.uniform_pipeline(3, 1, 9),
+                Platform::homogeneous(3, 1),
+                true,
+                Objective::PeriodUnderLatencyStrict(Rat::int(1000)),
+            ),
+            budget,
+            "exact",
+            "comm-exact",
+        ),
+        // binding reliability bounds: comm-bb cannot enforce them
+        (
+            "reliability n=3",
+            reliable(&mut gen, 3),
+            budget,
+            "exact",
+            "comm-exact",
+        ),
+        (
+            "reliability n=8",
+            reliable(&mut gen, 8),
+            budget,
+            "exact",
+            "comm-heuristic",
+        ),
+        (
+            "reliability n=11",
+            reliable(&mut gen, 11),
+            budget,
+            "heuristic",
+            "comm-heuristic",
+        ),
+    ];
+    for (label, instance, budget, simplified, comm) in guarded {
+        row(
+            format!("{label} [comm]"),
+            with_comm(&instance),
+            budget,
+            Some(comm),
+        );
+        row(label.to_string(), instance, budget, Some(simplified));
+    }
+    // simplified only: a 20-leaf comm enumeration walks every set
+    // partition of the leaves
+    for (leaves, auto) in [(20, "exact"), (21, "heuristic")] {
+        let fork = Fork::new(3, het_weights(&mut gen, leaves));
+        let instance =
+            ProblemInstance::new(fork, Platform::homogeneous(1, 1), false, Objective::Latency);
+        row(
+            format!("wide, fork leaves={leaves}"),
+            instance,
+            wide,
+            Some(auto),
+        );
+    }
+    probes
+}
+
+#[test]
+fn route_is_the_engine_and_fallback_solve_reports() {
+    // One truth table for routing: for every probe and every engine
+    // preference, `route` names the engine and fallback `solve`
+    // reports, or fails with the error `solve` fails with. `resolve` /
+    // `resolve_comm` (what the repository benchmark picks its pool
+    // with) must agree with it wherever they apply.
+    let registry = EngineRegistry::default();
+    let mut seen = std::collections::BTreeSet::new();
+    // representation caps only: whether the exact engine can take the
+    // instance at all
+    let uncapped = Budget {
+        max_exact_stages: usize::MAX,
+        max_exact_procs: usize::MAX,
+        max_comm_exact_stages: usize::MAX,
+        max_comm_exact_procs: usize::MAX,
+        ..Budget::default()
+    };
+    for probe in truth_table_probes() {
+        let Probe {
+            label,
+            instance,
+            budget,
+            auto,
+        } = probe;
+        if let Some(expected) = auto {
+            let (engine, _) = registry
+                .route(&instance, EnginePref::Auto, &budget)
+                .unwrap();
+            assert_eq!(engine.name(), expected, "{label}: Auto");
+        }
+        let variant = instance.variant();
+        let comm = instance.cost_model.is_comm_aware();
+        for pref in PREFS {
+            let case = format!("{label}, {pref:?}");
+            let routed = registry.route(&instance, pref, &budget);
+            // A forced exhaustive search past the budget's exact guard
+            // is unbounded by design: check the slot, skip the run.
+            if pref == EnginePref::Exact
+                && !budget.fits_exact(&instance)
+                && uncapped.fits_exact(&instance)
+            {
+                let slot = if comm { "comm-exact" } else { "exact" };
+                assert_eq!(routed.as_ref().unwrap().0.name(), slot, "{case}");
+                continue;
+            }
+            let solved = registry.solve(
+                &SolveRequest::new(instance.clone())
+                    .engine(pref)
+                    .budget(budget),
             );
+            match (&routed, &solved) {
+                (Ok((engine, fallback)), Ok(report)) => {
+                    assert_eq!(report.engine_used, engine.name(), "{case}");
+                    assert_eq!(&report.fallback, fallback, "{case}");
+                    seen.insert((engine.name(), format!("{fallback:?}")));
+                }
+                (Err(routed), Err(solved)) => {
+                    assert_eq!(format!("{routed:?}"), format!("{solved:?}"), "{case}")
+                }
+                // an error raised by the routed engine itself
+                (Ok((engine, _)), Err(solved)) => {
+                    let direct = engine.solve(&instance, &budget).unwrap_err();
+                    assert_eq!(format!("{direct:?}"), format!("{solved:?}"), "{case}");
+                }
+                (Err(e), Ok(report)) => {
+                    panic!(
+                        "{case}: route refused ({e}) but solve used {}",
+                        report.engine_used
+                    )
+                }
+            }
+            let name = |r: Result<&dyn Engine, SolveError>| {
+                r.map(|e| e.name()).map_err(|e| format!("{e:?}"))
+            };
+            let routed_name = name(routed.as_ref().map(|(e, _)| *e).map_err(Clone::clone));
+            if comm {
+                let resolved = registry.resolve_comm(pref, &variant, &instance, &budget);
+                assert_eq!(
+                    resolved.as_ref().map(|(_, f)| *f).ok(),
+                    routed.as_ref().map(|(_, f)| *f).ok(),
+                    "{case}: resolve_comm fallback"
+                );
+                assert_eq!(
+                    name(resolved.map(|(e, _)| e)),
+                    routed_name,
+                    "{case}: resolve_comm"
+                );
+            } else if !instance.objective.is_strict() {
+                let resolved = registry.resolve(
+                    pref,
+                    &variant,
+                    instance.workflow.n_stages(),
+                    instance.platform.n_procs(),
+                    &budget,
+                );
+                assert_eq!(name(resolved), routed_name, "{case}: resolve");
+            }
         }
-        // explicit exact / heuristic overrides always resolve too
-        for pref in [EnginePref::Exact, EnginePref::Heuristic] {
-            let engine = registry.resolve(pref, &variant, 3, 3, &budget).unwrap();
-            assert!(engine.supports(&variant));
-        }
+    }
+    // every route arm was exercised, including every fallback reason
+    for arm in [
+        "paper",
+        "exact",
+        "heuristic",
+        "comm-exact",
+        "comm-bb",
+        "comm-heuristic",
+        "hedged",
+    ] {
+        assert!(
+            seen.iter().any(|(e, _)| *e == arm),
+            "no probe reached {arm}"
+        );
+    }
+    for reason in [
+        "ReliabilityBound",
+        "CommBbStages",
+        "CommBbForkLeaves",
+        "CommBbProcs",
+    ] {
+        assert!(
+            seen.iter().any(|(_, f)| f.contains(reason)),
+            "no probe fell back for {reason}"
+        );
     }
 }
 
@@ -249,13 +688,14 @@ fn np_hard_cells_auto_route_small_to_exact_and_large_to_heuristics() {
 #[test]
 fn solve_batch_hundred_instances_in_parallel_marks_proven_cells() {
     let registry = EngineRegistry::default();
+    let service = SolverService::builder().workers(2).build();
     let mut gen = Gen::new(0xBA7C4);
     let variants = all_variants();
     let instances: Vec<ProblemInstance> = (0..120)
         .map(|i| instance_of(&mut gen, &variants[i % variants.len()]))
         .collect();
 
-    let reports = registry.solve_batch(&instances);
+    let reports = service.solve_batch(&instances);
     assert_eq!(reports.len(), instances.len());
 
     for (i, (instance, report)) in instances.iter().zip(&reports).enumerate() {
@@ -392,7 +832,7 @@ fn witness_validation_is_on_by_default_and_consistent() {
 
 #[test]
 fn batch_options_allow_forcing_engines() {
-    let registry = EngineRegistry::default();
+    let service = SolverService::builder().workers(2).build();
     let mut gen = Gen::new(0xBEEF);
     let instances: Vec<ProblemInstance> = (0..10)
         .map(|_| {
@@ -408,7 +848,7 @@ fn batch_options_allow_forcing_engines() {
         engine: EnginePref::Heuristic,
         ..BatchOptions::default()
     };
-    for result in registry.solve_batch_with(&instances, &options) {
+    for result in service.solve_batch_with(&instances, &options) {
         let report = result.unwrap();
         assert_eq!(report.engine_used, "heuristic");
         assert_eq!(report.optimality, Optimality::Heuristic);
