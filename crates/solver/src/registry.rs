@@ -53,9 +53,9 @@ impl EngineRegistry {
     /// The engine a request for `instance` runs on, plus the structured
     /// reason when `Auto` declined a stronger engine. The only code that
     /// evaluates the routing guards; [`EngineRegistry::solve`] routes
-    /// through it (after the reliability reduction), and
-    /// [`EngineRegistry::resolve`] / [`EngineRegistry::resolve_comm`]
-    /// are entries into its two arms.
+    /// through it (after the reliability reduction).
+    /// [`EngineRegistry::resolve_comm`] is its comm arm, and
+    /// [`EngineRegistry::resolve`] an entry into its simplified arm.
     ///
     /// **Simplified model** ([`CostModel::Simplified`]), `Auto`:
     ///
@@ -103,7 +103,7 @@ impl EngineRegistry {
     ) -> Result<(&dyn Engine, Option<FallbackReason>), SolveError> {
         let variant = instance.variant();
         if instance.cost_model.is_comm_aware() {
-            self.route_comm(pref, &variant, instance, budget)
+            self.resolve_comm(pref, &variant, instance, budget)
         } else {
             let strict = instance.objective.is_strict();
             let engine =
@@ -137,8 +137,10 @@ impl EngineRegistry {
         })
     }
 
-    /// The communication-aware arm of [`EngineRegistry::route`].
-    fn route_comm(
+    /// The engine a **communication-aware** request routes to: the comm
+    /// arm of [`EngineRegistry::route`], with the refusal error naming
+    /// `variant`.
+    pub fn resolve_comm(
         &self,
         pref: EnginePref,
         variant: &Variant,
@@ -221,19 +223,6 @@ impl EngineRegistry {
                 .iter()
                 .fold(1u128, |acc, &c| acc.saturating_mul(c as u128 + 1)),
         )
-    }
-
-    /// The engine a **communication-aware** request routes to: the comm
-    /// arm of [`EngineRegistry::route`], with the refusal error naming
-    /// `variant`.
-    pub fn resolve_comm(
-        &self,
-        pref: EnginePref,
-        variant: &Variant,
-        instance: &ProblemInstance,
-        budget: &Budget,
-    ) -> Result<(&dyn Engine, Option<FallbackReason>), SolveError> {
-        self.route_comm(pref, variant, instance, budget)
     }
 
     /// The engine a **simplified-model** request with a non-strict

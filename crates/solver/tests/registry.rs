@@ -11,8 +11,8 @@ use repliflow_core::platform::Platform;
 use repliflow_core::rational::Rat;
 use repliflow_core::workflow::{Fork, ForkJoin, Pipeline, Workflow};
 use repliflow_solver::{
-    BatchOptions, Budget, CommModel, CostModel, Engine, EnginePref, EngineRegistry, Network,
-    Optimality, Quality, SolveError, SolveRequest, SolverService,
+    BatchOptions, Budget, CommModel, CostModel, Engine, EnginePref, EngineRegistry, FallbackReason,
+    Network, Optimality, Quality, SolveError, SolveRequest, SolverService,
 };
 
 const GRAPHS: [GraphClass; 6] = [
@@ -470,6 +470,16 @@ fn truth_table_probes() -> Vec<Probe> {
     probes
 }
 
+/// A routing answer in comparable form: engine name and fallback, or
+/// the error's debug text.
+fn outcome(
+    routed: Result<(&dyn Engine, Option<FallbackReason>), SolveError>,
+) -> Result<(&'static str, Option<FallbackReason>), String> {
+    routed
+        .map(|(engine, fallback)| (engine.name(), fallback))
+        .map_err(|e| format!("{e:?}"))
+}
+
 #[test]
 fn route_is_the_engine_and_fallback_solve_reports() {
     // One truth table for routing: for every probe and every engine
@@ -542,22 +552,10 @@ fn route_is_the_engine_and_fallback_solve_reports() {
                     )
                 }
             }
-            let name = |r: Result<&dyn Engine, SolveError>| {
-                r.map(|e| e.name()).map_err(|e| format!("{e:?}"))
-            };
-            let routed_name = name(routed.as_ref().map(|(e, _)| *e).map_err(Clone::clone));
+            let routed = outcome(routed);
             if comm {
                 let resolved = registry.resolve_comm(pref, &variant, &instance, &budget);
-                assert_eq!(
-                    resolved.as_ref().map(|(_, f)| *f).ok(),
-                    routed.as_ref().map(|(_, f)| *f).ok(),
-                    "{case}: resolve_comm fallback"
-                );
-                assert_eq!(
-                    name(resolved.map(|(e, _)| e)),
-                    routed_name,
-                    "{case}: resolve_comm"
-                );
+                assert_eq!(outcome(resolved), routed, "{case}: resolve_comm");
             } else if !instance.objective.is_strict() {
                 let resolved = registry.resolve(
                     pref,
@@ -566,7 +564,11 @@ fn route_is_the_engine_and_fallback_solve_reports() {
                     instance.platform.n_procs(),
                     &budget,
                 );
-                assert_eq!(name(resolved), routed_name, "{case}: resolve");
+                assert_eq!(
+                    outcome(resolved.map(|e| (e, None))),
+                    routed,
+                    "{case}: resolve"
+                );
             }
         }
     }
