@@ -1,6 +1,8 @@
 //! Emits CSV runtime series for the polynomial algorithms, supporting the
-//! complexity claims of Table 1 (E-C1 in DESIGN.md): each algorithm is
-//! timed over sweeps of `n` (stages/leaves) and `p` (processors).
+//! complexity claims of Table 1: each algorithm is timed over sweeps of
+//! `n` (stages/leaves) and `p` (processors). The `exact_*` rows time the
+//! exhaustive solver on the NP-hard cells for contrast: exponential in
+//! `p` and in the number of fork leaves.
 //!
 //! Columns: `algorithm,n,p,micros`. Pipe to a file for plotting.
 
@@ -97,7 +99,8 @@ fn main() {
         println!("thm14_fork_period,{p}_leaves12,{p},{us}");
     }
 
-    // Exact solver blow-up (NP-hard evidence): exponential in p
+    // Exact solver blow-up (NP-hard evidence): exponential in p, and in
+    // the number of fork leaves
     for &p in &[2usize, 3, 4, 5, 6, 7] {
         let pipe = gen.pipeline(6, 1, 20);
         let plat = gen.het_platform(p, 1, 8);
@@ -109,6 +112,15 @@ fn main() {
                 repliflow_exact::Goal::MinPeriod,
             );
         });
-        println!("exact_pipeline_pareto,6,{p},{us}");
+        println!("exact_pipeline_vs_p,6,{p},{us}");
+    }
+    for n in 2usize..=8 {
+        let fork = gen.fork(n, 1, 10);
+        let plat = gen.het_platform(4, 1, 5);
+        let us = time_us(|| {
+            let _ =
+                repliflow_exact::solve_fork(&fork, &plat, true, repliflow_exact::Goal::MinLatency);
+        });
+        println!("exact_fork_vs_leaves,{n},4,{us}");
     }
 }

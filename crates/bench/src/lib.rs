@@ -15,12 +15,12 @@
 //! * `heuristic_gap` — optimality gaps of the heuristics on the NP-hard
 //!   cells (the paper's "future work" experiment).
 //! * `scaling` — CSV runtime series supporting the stated polynomial
-//!   complexities.
+//!   complexities, next to the exact solver's exponential blow-up.
 //!
-//! Criterion benches (`cargo bench`): `poly_algorithms`, `exact_blowup`,
-//! `heuristic_gap`, `simulator`, `chains`.
+//! CLIs: `solve` (one objective) and `pareto` (the whole front), in
+//! process or against a `repliflow-serve` daemon.
 
-/// Shared instance sizes/seeds so reports and benches agree.
+/// Shared instance sizes/seeds so the report binaries agree.
 pub mod config {
     /// Seed base for all bench generators.
     pub const SEED: u64 = 0xC1A0;

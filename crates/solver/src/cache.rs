@@ -34,7 +34,7 @@
 //! magnitude, so sharding is irrelevant for cold traffic — it exists
 //! for the warm path under concurrent daemon load, where every request
 //! is a lookup and a single mutex becomes the serialization point (the
-//! `tail_latency` bench measures contended throughput by shard count).
+//! `perf_gates` test compares contended throughput by shard count).
 //!
 //! [`SolveCache::new`] builds a single-shard cache (the exact
 //! pre-sharding semantics); the serving layer defaults to

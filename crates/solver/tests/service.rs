@@ -313,9 +313,8 @@ fn lru_capacity_one_still_serves_repeats() {
 }
 
 /// Acceptance criterion: a warm-cache repeat of the golden-instance
-/// batch is at least **10×** faster than the cold pass (the throughput
-/// bench measures the same thing continuously; this pins it). Runs in
-/// the release-mode `slow-tests` CI job — wall-clock assertions do not
+/// batch is at least **10×** faster than the cold pass. Runs in the
+/// release-mode `slow-tests` CI job — wall-clock assertions do not
 /// belong in the default debug profile.
 #[cfg(feature = "slow-tests")]
 #[test]

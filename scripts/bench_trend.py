@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Aggregates the `BENCH_pr*.json` CI artifacts into one trend table.
+"""Aggregates the `solve --json` CI artifacts into one trend table.
 
-CI's `bench-smoke` job emits one JSON artifact per benchmark family
-(per-engine golden wall times, comm-bb wall times, serving throughput,
-daemon latency, hedging tails, core raw speed). This script folds every
-`BENCH_pr*.json` found in each input directory into:
+CI's `bench-smoke` job writes two batches of `solve --json` reports:
+``BENCH_pr.json`` (every golden instance under the default route) and
+``BENCH_pr_comm_bb.json`` (the comm golden instances forced through
+comm-bb). This script folds the ones found in each input directory
+into:
 
 * a machine-readable trend file (``--out``, default ``BENCH_trend.json``)
   with one row per (label, artifact, metric) triple, and
@@ -21,14 +22,11 @@ Usage::
 Each ``DIR`` (default: the current directory) is labeled by its
 basename (``.`` becomes ``current``).
 
-**Schema validation is strict and the script hard-fails (exit 1) on any
-malformed artifact**: unparseable JSON, a wrong top-level shape, or a
-recognized artifact missing a required metric all abort the run with
-one error line per problem. A benchmark bin that silently changes its
-report schema therefore breaks CI here instead of producing a trend
-table with holes. Unrecognized ``BENCH_pr*.json`` files are accepted
-(future artifacts must not break old checkouts) but still must parse
-and carry at least one numeric metric.
+**Validation is strict and the script hard-fails (exit 1) on any
+malformed artifact**: unparseable JSON, anything but a non-empty array
+of report objects, or a report missing a required key or carrying a
+non-numeric wall time all abort the run with one error line per
+problem. Other files in the directory are ignored.
 """
 
 import argparse
@@ -36,70 +34,10 @@ import json
 import sys
 from pathlib import Path
 
-# ---------------------------------------------------------------------------
-# Schema registry: required dotted metric paths per known artifact name.
-# `[]` in a path means "every element of this array" (solve batches).
-# ---------------------------------------------------------------------------
-
+# Required keys of every row of a `solve --json` batch artifact.
 SOLVE_BATCH_ROW_KEYS = ("file", "engine", "optimality", "wall_time_ms")
 
-OBJECT_SCHEMAS = {
-    "BENCH_pr_throughput.json": [
-        "requests",
-        "cold_solves_per_sec",
-        "warm_solves_per_sec",
-        "warm_speedup",
-        "cache_hit_rate",
-        "errors",
-    ],
-    "BENCH_pr_serve.json": [
-        "requests",
-        "requests_per_sec",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "errors",
-    ],
-    "BENCH_pr_hedge.json": [
-        "requests",
-        "hedging_off.p99_ms",
-        "hedging_on.p99_ms",
-        "hedge_stats.races",
-    ],
-    "BENCH_pr_core.json": [
-        "p8_u32_ms",
-        "p8_u64_ms",
-        "p33_wall_ms",
-        "parallel_speedup",
-        "parse_speedup",
-        "parse_request_ms",
-    ],
-}
-
-SOLVE_BATCH_ARTIFACTS = {"BENCH_pr.json", "BENCH_pr_comm_bb.json"}
-
-
-def lookup(tree, dotted):
-    """Resolves a dotted path in nested dicts; None when absent."""
-    node = tree
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
-def numeric_leaves(tree, prefix=""):
-    """Every numeric leaf of a nested dict as (dotted_path, value)."""
-    rows = []
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            rows.extend(numeric_leaves(value, f"{prefix}{key}."))
-    elif isinstance(tree, bool):
-        pass
-    elif isinstance(tree, (int, float)):
-        rows.append((prefix[:-1], tree))
-    return rows
+ARTIFACTS = ("BENCH_pr.json", "BENCH_pr_comm_bb.json")
 
 
 def fold_solve_batch(name, data, errors):
@@ -133,40 +71,12 @@ def fold_solve_batch(name, data, errors):
     return metrics
 
 
-def fold_object(name, data, required, errors):
-    """Headline metrics of a single-object artifact with a known schema."""
-    if not isinstance(data, dict):
-        errors.append(f"{name}: expected a JSON object")
-        return {}
-    metrics = {}
-    for path in required:
-        value = lookup(data, path)
-        if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{name}: required metric `{path}` is missing or non-numeric")
-            continue
-        metrics[path] = value
-    return metrics
-
-
-def fold_unknown(name, data, errors):
-    """Future artifacts: accept any object/array, keep numeric leaves."""
-    if isinstance(data, list):
-        return {"entries": len(data)}
-    if isinstance(data, dict):
-        metrics = dict(numeric_leaves(data))
-        if not metrics:
-            errors.append(f"{name}: no numeric metrics found in unrecognized artifact")
-        return metrics
-    errors.append(f"{name}: expected a JSON object or array at top level")
-    return {}
-
-
 def fold_directory(directory, errors):
-    """All BENCH_pr*.json artifacts in one directory → {artifact: {metric: v}}."""
+    """The known artifacts in one directory → {artifact: {metric: v}}."""
     artifacts = {}
-    paths = sorted(directory.glob("BENCH_pr*.json"))
+    paths = [directory / name for name in ARTIFACTS if (directory / name).is_file()]
     if not paths:
-        errors.append(f"{directory}: no BENCH_pr*.json artifacts found")
+        errors.append(f"{directory}: none of {', '.join(ARTIFACTS)} found")
         return artifacts
     for path in paths:
         name = path.name
@@ -175,12 +85,7 @@ def fold_directory(directory, errors):
         except (OSError, json.JSONDecodeError) as e:
             errors.append(f"{name}: unreadable or invalid JSON ({e})")
             continue
-        if name in SOLVE_BATCH_ARTIFACTS:
-            metrics = fold_solve_batch(name, data, errors)
-        elif name in OBJECT_SCHEMAS:
-            metrics = fold_object(name, data, OBJECT_SCHEMAS[name], errors)
-        else:
-            metrics = fold_unknown(name, data, errors)
+        metrics = fold_solve_batch(name, data, errors)
         if metrics:
             artifacts[name] = metrics
     return artifacts
