@@ -15,9 +15,11 @@
 //!   (`overloaded`), a per-connection in-flight cap, and counters.
 //! * [`framing`] — newline framing under the line cap, linear in the
 //!   bytes read and independent of how they were chunked.
-//! * [`server`] — the daemon: thread-per-connection accept loop,
-//!   per-connection writer threads (responses in completion order, so
-//!   clients may pipeline), graceful drain that answers everything
+//! * [`server`] — the daemon: thread-per-connection accept loop;
+//!   cache hits, errors and admin verbs answered on the connection
+//!   thread; per-connection writer threads forwarding the pool's
+//!   answers to cache misses (responses in completion order, so
+//!   clients may pipeline); graceful drain that answers everything
 //!   admitted before exiting.
 //! * [`signal`] — SIGINT/SIGTERM → drain flag, without a `libc` crate.
 //! * [`client`] — a synchronous client: the CLI's `--remote` mode, the

@@ -18,6 +18,10 @@
 //! wait for that line), serves until SIGINT/SIGTERM or a `shutdown`
 //! verb, drains — every admitted request is answered — and exits 0.
 //!
+//! On glibc the daemon caps its malloc arenas at two per pool worker
+//! (see `ARENAS_PER_WORKER`), so its RSS tracks the live set rather
+//! than the number of threads that ever allocated.
+//!
 //! `ctl` connects as a client, runs one verb, prints the response
 //! (pretty JSON for `stats`) and exits 0 on success.
 
@@ -25,6 +29,51 @@ use repliflow_serve::server::{Server, ServerConfig};
 use repliflow_serve::{signal, RemoteClient, DEFAULT_PORT};
 use repliflow_solver::{Budget, Quality};
 use std::process::ExitCode;
+
+/// glibc malloc arenas the daemon may use per pool worker. glibc gives
+/// a thread that meets a locked arena a fresh one, up to eight per
+/// core by default, and each arena keeps its own free memory, so RSS
+/// grows with the arena count rather than with what is live. The
+/// threads that allocate at once are the pool workers (misses) and the
+/// connection threads (hits, parse and encode), so two arenas per
+/// worker leaves room for as many busy connections as workers. On the
+/// `warm_wire` benchmark (2 vCPUs, 2 workers, interleaved 30 s runs)
+/// this cap of 4 held daemon RSS at 17–19 MB against 24–26 MB
+/// uncapped, at the uncapped p50. A cap of 1 or 2 cut RSS further
+/// (12–17 MB), but threads then queue on the arena locks: the median
+/// p50 was 17% above the uncapped one. Other worker counts are not
+/// measured.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const ARENAS_PER_WORKER: usize = 2;
+
+/// glibc's `mallopt` parameter that caps the arena count.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const M_ARENA_MAX: i32 = -8;
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+extern "C" {
+    /// glibc's `mallopt(3)`: sets a malloc tuning parameter, returns 1
+    /// on success.
+    fn mallopt(param: i32, value: i32) -> i32;
+}
+
+/// Caps glibc's malloc arenas at [`ARENAS_PER_WORKER`] per pool
+/// worker. Call before the daemon starts its threads.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn cap_malloc_arenas(workers: usize) {
+    let arenas = i32::try_from(workers.saturating_mul(ARENAS_PER_WORKER)).unwrap_or(i32::MAX);
+    // SAFETY: `mallopt` is glibc's own entry point with this C `int`
+    // signature; it only sets an allocator parameter, and it runs here
+    // before any other thread exists. A refusal (return 0) leaves the
+    // default policy in place, so the result is ignored.
+    unsafe {
+        mallopt(M_ARENA_MAX, arenas);
+    }
+}
+
+/// Other targets keep their allocator's own arena policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn cap_malloc_arenas(_workers: usize) {}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -144,6 +193,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Binding starts no thread: the service pool spawns on first use.
+    cap_malloc_arenas(server.service().pool_size());
     match server.local_addr() {
         Ok(addr) => {
             // Readiness line; scripts wait for it before connecting.

@@ -5,22 +5,29 @@
 //!
 //! One [`Server`] owns one shared [`SolverService`] (persistent worker
 //! pool + solve cache) and a TCP listener. Each accepted connection
-//! gets two threads:
+//! gets two threads that share the socket's write half behind one
+//! lock, one whole response line per lock:
 //!
 //! * a **reader** (the connection thread): parses bounded request
-//!   lines, answers admin verbs inline, and for `solve` requests asks
-//!   the [`Admission`] gate for a ticket — admitted requests are
-//!   submitted to the service pool via
-//!   [`SolverService::solve_detached`], shed ones are answered
-//!   `overloaded` immediately;
-//! * a **writer**: serializes responses from an mpsc channel, one JSON
-//!   line each, in *completion* order — the echoed request `id` is the
-//!   client's correlation key, so one connection can pipeline many
-//!   solves and a fast solve overtakes a slow sibling.
+//!   lines and answers everything that needs no compute itself —
+//!   admin verbs, malformed lines, drain refusals, sheds
+//!   (`overloaded`) and, through [`SolverService::solve_detached`],
+//!   cache hits and fail-fast errors of admitted `solve` requests. A
+//!   cache miss is queued on the service pool;
+//! * a **writer**: forwards the answers computed off the connection
+//!   thread (pool misses, `pareto` fronts) from an mpsc channel, so a
+//!   pool worker never blocks on a slow peer.
 //!
-//! Compute never runs on connection threads: connections are cheap
-//! (two mostly-parked threads), and total solve concurrency is bounded
-//! by the service pool regardless of the connection count.
+//! Answers go out in *completion* order — the echoed request `id` is
+//! the client's correlation key, so one connection can pipeline many
+//! solves, and a hit or a fast solve overtakes a slow sibling.
+//!
+//! Engine compute never runs on connection threads: connections stay
+//! cheap (two mostly-parked threads), and total solve concurrency is
+//! bounded by the service pool regardless of the connection count. A
+//! hit costs the connection thread a parse, a fingerprint and a cache
+//! lookup, which is cheaper than the two thread hand-offs of a pool
+//! round trip.
 //!
 //! ## Lifecycle
 //!
@@ -32,17 +39,18 @@
 //!    connection accepted from then on is dropped unserved, and the
 //!    listener closes — new connects are refused,
 //! 2. stops reading new requests on every connection,
-//! 3. answers every already-admitted request (each reader drops its
-//!    channel sender and joins its writer, which drains the in-flight
-//!    solve callbacks' responses first),
+//! 3. answers every already-admitted request (a hit was answered
+//!    inline before the reader moved on; for the rest each reader drops
+//!    its channel sender and joins its writer, which drains the
+//!    in-flight solve callbacks' responses first),
 //! 4. joins every connection thread and returns cleanly — the binary
 //!    exits 0.
 //!
-//! Nothing admitted is ever dropped: a ticket only dies after its
-//! response line is queued to the writer, and the writer only exits
-//! after the queue is empty.
+//! Nothing admitted is ever dropped: a ticket only dies right before
+//! its response line is written or queued to the writer, and the
+//! writer only exits after the queue is empty.
 
-use crate::admission::{Admission, AdmissionConfig};
+use crate::admission::{Admission, AdmissionConfig, Ticket};
 use crate::framing::{Frame, LineBuffer};
 use crate::protocol::{
     err_response, front_ok_response, ok_response, parse_request, report_ok_response, ErrorCode,
@@ -50,12 +58,12 @@ use crate::protocol::{
 };
 use crate::{metrics, signal};
 use repliflow_multicrit::{FrontRequest, FrontSolver};
-use repliflow_solver::{Budget, Deadline, SolveRequest, SolverService};
+use repliflow_solver::{Budget, Deadline, SolveError, SolveReport, SolveRequest, SolverService};
 use repliflow_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use repliflow_sync::sync::{mpsc, Arc};
+use repliflow_sync::sync::{mpsc, Arc, Mutex, PoisonError};
 use repliflow_sync::thread::JoinHandle;
 use serde::Value;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -401,9 +409,43 @@ impl<'a> LineReader<'a> {
     }
 }
 
-/// Serves one connection: reads requests until EOF/drain, answers via
-/// the writer thread, then waits for every admitted solve's response
-/// to flush before hanging up.
+/// A connection's write half, shared by the connection thread (inline
+/// answers) and its writer thread (queued answers), one whole line per
+/// lock. `None` once a write failed: the peer is gone, and later
+/// answers are dropped instead of each waiting out the write timeout.
+type WriteHalf = Mutex<Option<TcpStream>>;
+
+/// Writes one response line and its terminator in a single write under
+/// the connection's write lock, so lines from the two writing threads
+/// never interleave.
+fn write_line(out: &WriteHalf, mut line: String) {
+    line.push('\n');
+    // Only `write_all` runs under this lock, and it reports failure as
+    // an error, not a panic: a poisoned lock still guards a whole
+    // stream.
+    let mut half = out.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(stream) = half.as_mut() {
+        if stream.write_all(line.as_bytes()).is_err() {
+            *half = None;
+        }
+    }
+}
+
+/// The line for a solve's outcome.
+fn solve_response(id: &Value, result: Result<Arc<SolveReport>, SolveError>) -> String {
+    match result {
+        Ok(report) => report_ok_response(id, &report),
+        Err(error) => {
+            let (code, message) = ErrorCode::of_solve_error(&error);
+            err_response(id, code, &message)
+        }
+    }
+}
+
+/// Serves one connection: reads requests until EOF/drain, writes the
+/// inline answers itself and leaves pool and front answers to the
+/// writer thread, then waits for every admitted solve's response to
+/// flush before hanging up.
 fn handle_connection(
     stream: TcpStream,
     service: &Arc<SolverService>,
@@ -413,27 +455,23 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    // A stuck peer must not wedge the writer (and thus drain) forever.
+    // A stuck peer must not wedge a writing thread (and thus drain)
+    // forever.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
+    let out: Arc<WriteHalf> = Arc::new(Mutex::new(Some(write_half)));
     let (tx, rx) = mpsc::channel::<String>();
+    let writer_out = Arc::clone(&out);
     let spawned = repliflow_sync::thread::Builder::new()
         .name("repliflow-serve-write".into())
         .spawn(move || {
-            let mut out = BufWriter::new(write_half);
+            // Answers computed off the connection thread: pool workers
+            // and front threads only queue, so none of them ever blocks
+            // on a slow peer.
             for line in rx {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    // Peer is gone: stop writing. Senders' `send`s fail
-                    // harmlessly; admission tickets still release.
-                    return;
-                }
+                write_line(&writer_out, line);
             }
         });
     // Without a writer thread the connection cannot answer anything;
@@ -456,18 +494,19 @@ fn handle_connection(
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(line, service, front, shared, &conn_inflight, &tx);
+                handle_line(line, service, front, shared, &conn_inflight, &out, &tx);
             }
-            Line::TooLong => {
-                let _ = tx.send(err_response(
+            Line::TooLong => write_line(
+                &out,
+                err_response(
                     &Value::Null,
                     ErrorCode::LineTooLong,
                     &format!(
                         "request line exceeds the {} byte cap; request skipped",
                         shared.max_line_bytes
                     ),
-                ));
-            }
+                ),
+            ),
             Line::Draining | Line::Eof | Line::Failed => break,
         }
     }
@@ -478,61 +517,52 @@ fn handle_connection(
     let _ = writer.join();
 }
 
-/// Dispatches one parsed request line.
+/// Dispatches one parsed request line. Everything answered without
+/// compute — errors, sheds, admin verbs, cache hits — is written here,
+/// on the connection thread; cache misses go to the service pool and
+/// fronts to their own thread, both answering through `tx`.
 fn handle_line(
     line: &str,
     service: &Arc<SolverService>,
     front: &Arc<FrontSolver>,
     shared: &Arc<ServerShared>,
     conn_inflight: &Arc<AtomicUsize>,
+    out: &WriteHalf,
     tx: &mpsc::Sender<String>,
 ) {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(failure) => {
-            let _ = tx.send(err_response(&failure.id, failure.code, &failure.message));
+            write_line(
+                out,
+                err_response(&failure.id, failure.code, &failure.message),
+            );
             return;
         }
     };
     let id = request.id;
     match request.verb {
-        Verb::Ping => {
-            let _ = tx.send(ok_response(
-                &id,
-                Value::Object(vec![("pong".into(), Value::Bool(true))]),
-            ));
-        }
-        Verb::Stats => {
-            let _ = tx.send(ok_response(&id, metrics::snapshot(service, shared)));
-        }
+        Verb::Ping => write_line(
+            out,
+            ok_response(&id, Value::Object(vec![("pong".into(), Value::Bool(true))])),
+        ),
+        Verb::Stats => write_line(out, ok_response(&id, metrics::snapshot(service, shared))),
         Verb::Shutdown => {
-            // Answer first, then raise the flag: the writer drains its
-            // queue before exiting, so the acknowledgement always ships.
-            let _ = tx.send(ok_response(
-                &id,
-                Value::Object(vec![("draining".into(), Value::Bool(true))]),
-            ));
+            // Answer first, then raise the flag: the acknowledgement is
+            // on the wire before the connection can see the drain.
+            write_line(
+                out,
+                ok_response(
+                    &id,
+                    Value::Object(vec![("draining".into(), Value::Bool(true))]),
+                ),
+            );
             shared.request_drain();
         }
         Verb::Solve(body) => {
-            if shared.draining() {
-                let _ = tx.send(err_response(
-                    &id,
-                    ErrorCode::ShuttingDown,
-                    "daemon is draining; no new requests admitted",
-                ));
-                return;
-            }
-            let ticket = match shared.admission.try_admit(conn_inflight) {
+            let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
-                Err(reason) => {
-                    let _ = tx.send(err_response(
-                        &id,
-                        ErrorCode::Overloaded,
-                        &reason.message(shared.admission.config()),
-                    ));
-                    return;
-                }
+                Err(refusal) => return write_line(out, refusal),
             };
             let mut solve = SolveRequest::new(body.instance)
                 .engine(body.engine)
@@ -542,40 +572,26 @@ fn handle_line(
                 solve = solve.deadline(Deadline::in_ms(ms));
             }
             let tx = tx.clone();
-            service.solve_detached(solve, move |result| {
-                let response = match result {
-                    Ok(report) => report_ok_response(&id, &report),
-                    Err(error) => {
-                        let (code, message) = ErrorCode::of_solve_error(&error);
-                        err_response(&id, code, &message)
-                    }
-                };
+            let queued_id = id.clone();
+            let inline = service.solve_detached(solve, move |result| {
+                let response = solve_response(&queued_id, result);
                 // Release the slot before queuing the response: a
                 // client that has read its answer must already see the
                 // request as completed (e.g. in a follow-up `stats`).
                 drop(ticket);
                 let _ = tx.send(response);
             });
+            // An inline answer dropped the callback, and the ticket in
+            // it, before `solve_detached` returned: released before
+            // answered here too.
+            if let Some(result) = inline {
+                write_line(out, solve_response(&id, result));
+            }
         }
         Verb::Pareto(body) => {
-            if shared.draining() {
-                let _ = tx.send(err_response(
-                    &id,
-                    ErrorCode::ShuttingDown,
-                    "daemon is draining; no new requests admitted",
-                ));
-                return;
-            }
-            let ticket = match shared.admission.try_admit(conn_inflight) {
+            let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
-                Err(reason) => {
-                    let _ = tx.send(err_response(
-                        &id,
-                        ErrorCode::Overloaded,
-                        &reason.message(shared.admission.config()),
-                    ));
-                    return;
-                }
+                Err(refusal) => return write_line(out, refusal),
             };
             let mut budget = shared.default_budget.quality(body.quality);
             if let Some(points) = body.points {
@@ -610,12 +626,38 @@ fn handle_line(
             if spawned.is_err() {
                 // Resource exhaustion: shed this request; the ticket
                 // (moved into the dropped closure) releases on drop.
-                let _ = tx.send(err_response(
-                    &id,
-                    ErrorCode::Overloaded,
-                    "cannot spawn a front orchestration thread; retry later",
-                ));
+                write_line(
+                    out,
+                    err_response(
+                        &id,
+                        ErrorCode::Overloaded,
+                        "cannot spawn a front orchestration thread; retry later",
+                    ),
+                );
             }
         }
     }
+}
+
+/// The drain check and the admission gate every compute verb passes;
+/// a refusal is the error line to answer request `id` with.
+fn admit(
+    shared: &ServerShared,
+    conn_inflight: &Arc<AtomicUsize>,
+    id: &Value,
+) -> Result<Ticket, String> {
+    if shared.draining() {
+        return Err(err_response(
+            id,
+            ErrorCode::ShuttingDown,
+            "daemon is draining; no new requests admitted",
+        ));
+    }
+    shared.admission.try_admit(conn_inflight).map_err(|reason| {
+        err_response(
+            id,
+            ErrorCode::Overloaded,
+            &reason.message(shared.admission.config()),
+        )
+    })
 }

@@ -623,3 +623,128 @@ fn forced_engine_preference_is_honored_remotely() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// Cache hits are answered on the connection thread: behind a slow miss
+/// that holds the only pool worker, the hits pipelined after it on the
+/// same connection still arrive first, each exactly once, carrying the
+/// in-process canonical report byte for byte.
+#[test]
+fn hits_pipelined_behind_a_slow_miss_are_answered_first() {
+    let budget = slow_budget(300);
+    let (addr, handle, join) = start(ServerConfig {
+        workers: Some(1),
+        default_budget: budget,
+        ..ServerConfig::default()
+    });
+    let names = [
+        "hom_pipeline_period.json",
+        "hom_fork_latency.json",
+        "het_pipeline_latency.json",
+    ];
+    let instances: Vec<_> = names
+        .iter()
+        .map(|name| load_instance(&instances_dir().join(name)))
+        .collect();
+    // Warm the daemon's cache with one computed solve per instance.
+    let mut client = RemoteClient::connect(addr).expect("client connects");
+    for instance in &instances {
+        client
+            .solve(instance, &RemoteSolveOptions::default())
+            .expect("warming solve");
+    }
+    let service = SolverService::builder().build();
+    let local: Vec<String> = instances
+        .iter()
+        .map(|instance| {
+            service
+                .solve(&SolveRequest::new(instance.clone()).budget(budget))
+                .expect("local solve")
+                .canonical_json()
+        })
+        .collect();
+
+    // id 1: a forced comm-bb search that keeps the one worker busy for
+    // ~300 ms and is never cached (it stops at its time limit); ids
+    // 2..=4: hits.
+    let slow = slow_instance_json();
+    let mut lines = vec![format!(
+        r#"{{"v":1,"id":1,"verb":"solve","engine":"comm-bb","instance":{slow}}}"#
+    )];
+    for (id, instance) in (2..).zip(&instances) {
+        let text = serde_json::to_string(&serde::Serialize::serialize(instance))
+            .expect("instance renders");
+        lines.push(format!(
+            r#"{{"v":1,"id":{id},"verb":"solve","instance":{text}}}"#
+        ));
+    }
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for line in &lines {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+    }
+    let mut read_line = || {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("response read") > 0,
+            "daemon hung up before answering everything"
+        );
+        line.trim_end().to_string()
+    };
+    let mut order = Vec::new();
+    for _ in 0..lines.len() {
+        let line = read_line();
+        let response = parse_value(&line).expect("response parses");
+        let id = id_int(&response);
+        order.push(id);
+        if id == 1 {
+            assert_eq!(err_code(&response), None, "slow miss failed: {line}");
+            continue;
+        }
+        let canonical = &local[(id - 2) as usize];
+        let prefix = format!(r#"{{"v":1,"id":{id},"ok":{{"canonical":{canonical},"cell""#);
+        assert!(
+            line.starts_with(&prefix),
+            "hit {id} diverges from the in-process canonical report: {line}"
+        );
+        assert_eq!(
+            response
+                .field("ok")
+                .and_then(|ok| ok.field("provenance"))
+                .and_then(Value::as_str),
+            Some("cached")
+        );
+    }
+    assert_eq!(order, vec![2, 3, 4, 1], "hits wait behind the slow miss");
+    // A ping after the answers: anything answered twice would show up
+    // before its reply.
+    stream
+        .write_all(b"{\"v\":1,\"id\":\"after\",\"verb\":\"ping\"}\n")
+        .unwrap();
+    let after = parse_value(&read_line()).expect("response parses");
+    assert_eq!(after.field("id"), Some(&Value::String("after".into())));
+
+    let stats = client.stats().expect("stats verb");
+    let int = |section: &str, field: &str| {
+        stats
+            .field(section)
+            .and_then(|s| s.field(field))
+            .and_then(Value::as_int)
+    };
+    assert_eq!(int("admission", "accepted"), Some(7));
+    assert_eq!(int("admission", "completed"), Some(7));
+    assert_eq!(int("service", "requests"), Some(7));
+    assert_eq!(int("service", "cache_hits"), Some(3));
+    assert_eq!(int("service", "computed"), Some(4));
+    assert_eq!(int("cache", "hits"), Some(3));
+    assert_eq!(int("cache", "misses"), Some(4), "one lookup per request");
+    assert_eq!(int("cache", "insertions"), Some(3));
+    assert_eq!(
+        int("service", "jobs_executed"),
+        Some(4),
+        "only the misses used the pool"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}

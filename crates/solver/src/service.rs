@@ -81,7 +81,7 @@ use repliflow_sync::sync::mpsc::{self, Receiver};
 use repliflow_sync::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default solve-cache capacity (reports). Reports are small (a
 /// mapping, a few rationals, counters); a thousand of them is well
@@ -183,8 +183,10 @@ pub struct ServiceStats {
     pub per_engine: Vec<EngineWall>,
     /// Distribution of end-to-end serve latencies (cache hits, computes
     /// *and* errors — what a caller observed, not what an engine
-    /// spent), with p50/p95/p99 accessors. Batch-duplicate fan-outs are
-    /// not re-recorded (only their leader's serve is).
+    /// spent), with p50/p95/p99 accessors. A
+    /// [`SolverService::solve_detached`] miss is timed from its lookup,
+    /// so its pool queue wait counts. Batch-duplicate fan-outs are not
+    /// re-recorded (only their leader's serve is).
     pub latency: HistogramSnapshot,
     /// Cumulative wall time pool workers spent running jobs
     /// ([`Duration::ZERO`] before the pool's first batch/stream use).
@@ -259,17 +261,29 @@ struct ServiceCore {
     escalation: Option<EscalationState>,
 }
 
+/// What the lookup half of the serving path decided.
+enum Lookup {
+    /// Answered without compute: a cache hit or a fail-fast error.
+    Answered(Result<Arc<SolveReport>, SolveError>),
+    /// The registry must compute; carries the request fingerprint when
+    /// the service caches, so the write-back does not hash again.
+    Miss(Option<InstanceFingerprint>),
+}
+
 impl ServiceCore {
-    /// The full serving path for one request: serving-control
-    /// pre-checks, cache lookup, engine dispatch, cache write-back,
-    /// statistics. `key` is the optionally precomputed request
-    /// fingerprint (the batch path already fingerprints every request
-    /// for duplicate coalescing — no point hashing twice).
-    fn solve_keyed(
+    /// The lookup half of the serving path: the deadline/cancel
+    /// fail-fast, the fingerprint and the cache lookup. An answer is
+    /// recorded in the stats here; a miss records nothing, so the
+    /// compute half counts the request once. `key` is the optionally
+    /// precomputed fingerprint (the batch path already fingerprints
+    /// every request for duplicate coalescing — no point hashing
+    /// twice).
+    fn lookup(
         &self,
         request: &SolveRequest,
         key: Option<InstanceFingerprint>,
-    ) -> Result<Arc<SolveReport>, SolveError> {
+        start: Instant,
+    ) -> Lookup {
         // Fail fast (expired deadline / cancelled token) before touching
         // the cache.
         if let Err(e) = EngineRegistry::effective_budget(
@@ -277,12 +291,42 @@ impl ServiceCore {
             request.deadline,
             request.cancel.as_ref(),
         ) {
-            self.note(|s| {
-                s.requests += 1;
-                s.errors += 1;
-            });
-            return Err(e);
+            self.note_served(start, |s| s.errors += 1);
+            return Lookup::Answered(Err(e));
         }
+        let Some(cache) = &self.cache else {
+            return Lookup::Miss(None);
+        };
+        let key = key.unwrap_or_else(|| request.fingerprint());
+        match cache.get(key) {
+            // Entries are tagged at insertion time — `Cached` on
+            // write-back, `Escalated` on an escalation refresh (so
+            // callers can see their answer is the improved one) — which
+            // makes the warm path a pure pointer clone: no mutation, no
+            // deep copy.
+            Some(report) => {
+                self.note_served(start, |s| s.cache_hits += 1);
+                Lookup::Answered(Ok(report))
+            }
+            None => Lookup::Miss(Some(key)),
+        }
+    }
+
+    /// The compute half of the serving path: engine dispatch, cache
+    /// write-back under the lookup's `key`, statistics.
+    fn compute(
+        &self,
+        request: &SolveRequest,
+        key: Option<InstanceFingerprint>,
+        start: Instant,
+    ) -> Result<Arc<SolveReport>, SolveError> {
+        let report = match self.registry.solve(request) {
+            Ok(report) => report,
+            Err(e) => {
+                self.note_served(start, |s| s.errors += 1);
+                return Err(e);
+            }
+        };
         // Any live deadline makes the run non-cacheable for *writes*:
         // the registry re-derives the remaining time when the engine
         // actually starts, so the effective budget may be clamped below
@@ -292,62 +336,44 @@ impl ServiceCore {
         // fingerprint. Reads are fine: a cached full-budget report is
         // at least as good as anything a deadlined run could compute.
         let deadline_free = request.deadline.is_none();
-        let keyed = self
-            .cache
-            .as_ref()
-            .map(|c| (key.unwrap_or_else(|| request.fingerprint()), c));
-        if let Some((key, cache)) = &keyed {
-            if let Some(report) = cache.get(*key) {
-                // Entries are tagged at insertion time — `Cached` on
-                // write-back, `Escalated` on an escalation refresh (so
-                // callers can see their answer is the improved one) —
-                // which makes the warm path a pure pointer clone: no
-                // mutation, no deep copy.
-                self.note(|s| {
-                    s.requests += 1;
-                    s.cache_hits += 1;
-                });
-                return Ok(report);
+        // A search that tripped its node/time budget
+        // (`completed == false`) reports a load-dependent incumbent —
+        // caching it would freeze a degraded answer under a fingerprint
+        // whose budget allows a better one.
+        let search_complete = report.search.is_none_or(|s| s.completed);
+        if let (Some(key), Some(cache)) = (key, &self.cache) {
+            if deadline_free && search_complete {
+                // One deep clone per cold insert, so every later hit can
+                // hand back the entry untouched.
+                cache.insert(
+                    key,
+                    Arc::new(SolveReport {
+                        provenance: Provenance::Cached,
+                        ..report.clone()
+                    }),
+                );
             }
         }
-        match self.registry.solve(request) {
-            Ok(report) => {
-                let (engine, wall) = (report.engine_used, report.wall_time);
-                self.note(|s| {
-                    s.requests += 1;
-                    s.computed += 1;
-                    let slot = s.per_engine.entry(engine).or_insert((Duration::ZERO, 0));
-                    slot.0 += wall;
-                    slot.1 += 1;
-                });
-                // A search that tripped its node/time budget
-                // (`completed == false`) reports a load-dependent
-                // incumbent — caching it would freeze a degraded answer
-                // under a fingerprint whose budget allows a better one.
-                let search_complete = report.search.is_none_or(|s| s.completed);
-                if deadline_free && search_complete {
-                    if let Some((key, cache)) = &keyed {
-                        // One deep clone per cold insert, so every
-                        // later hit can hand back the entry untouched.
-                        cache.insert(
-                            *key,
-                            Arc::new(SolveReport {
-                                provenance: Provenance::Cached,
-                                ..report.clone()
-                            }),
-                        );
-                    }
-                }
-                Ok(Arc::new(report))
-            }
-            Err(e) => {
-                self.note(|s| {
-                    s.requests += 1;
-                    s.errors += 1;
-                });
-                Err(e)
-            }
-        }
+        let (engine, wall) = (report.engine_used, report.wall_time);
+        self.note_served(start, |s| {
+            s.computed += 1;
+            let slot = s.per_engine.entry(engine).or_insert((Duration::ZERO, 0));
+            slot.0 += wall;
+            slot.1 += 1;
+        });
+        Ok(Arc::new(report))
+    }
+
+    /// Records one served request under a single stats lock: the
+    /// request count, its outcome counters, and its end-to-end serve
+    /// latency since `start` (hit, compute or error alike).
+    fn note_served(&self, start: Instant, outcome: impl FnOnce(&mut StatsInner)) {
+        let served_in = start.elapsed();
+        self.note(|s| {
+            s.requests += 1;
+            outcome(s);
+            s.latency.record(served_in);
+        });
     }
 
     fn note(&self, update: impl FnOnce(&mut StatsInner)) {
@@ -358,41 +384,64 @@ impl ServiceCore {
     }
 }
 
-/// Runs the serving path with panics contained: an engine panic becomes
+/// Runs the lookup half with panics contained: a panic (say, in the
+/// fingerprint walk) becomes [`SolveError::EnginePanicked`] for *this*
+/// request, answered without compute.
+fn lookup_containing_panics(
+    core: &ServiceCore,
+    request: &SolveRequest,
+    key: Option<InstanceFingerprint>,
+    start: Instant,
+) -> Lookup {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        core.lookup(request, key, start)
+    }))
+    .unwrap_or_else(|_| {
+        // the panic unwound before the lookup recorded stats
+        core.note_served(start, |s| s.errors += 1);
+        Lookup::Answered(Err(SolveError::EnginePanicked))
+    })
+}
+
+/// Runs the compute half with panics contained: an engine panic becomes
 /// [`SolveError::EnginePanicked`] for *this* request instead of losing
 /// the batch slot (and in chunked batches, the rest of the chunk). The
 /// pool worker additionally survives any panic that escapes a job —
-/// defense in depth.
-fn solve_containing_panics(
+/// defense in depth. A fresh answer may then schedule an escalation.
+fn compute_containing_panics(
     core: &Arc<ServiceCore>,
     request: &SolveRequest,
     key: Option<InstanceFingerprint>,
+    start: Instant,
 ) -> Result<Arc<SolveReport>, SolveError> {
-    let serve_start = std::time::Instant::now();
-    let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        core.solve_keyed(request, key)
-    })) {
-        Ok(result) => result,
-        Err(_) => {
-            // the panic unwound before the serving path recorded stats
-            core.note(|s| {
-                s.requests += 1;
-                s.errors += 1;
-            });
-            Err(SolveError::EnginePanicked)
-        }
-    };
-    // End-to-end serve latency of this serve operation (hit, compute
-    // or error alike); batch-duplicate fan-outs bump `requests` without
-    // a serve of their own and are deliberately not recorded here.
-    let served_in = serve_start.elapsed();
-    core.note(|s| s.latency.record(served_in));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        core.compute(request, key, start)
+    }))
+    .unwrap_or_else(|_| {
+        // the panic unwound before the compute recorded stats
+        core.note_served(start, |s| s.errors += 1);
+        Err(SolveError::EnginePanicked)
+    });
     // The answer is already settled and timed; whatever escalation does
     // from here happens after the caller got their report.
     if let Ok(report) = &result {
         maybe_escalate(core, request, key, report);
     }
     result
+}
+
+/// The whole serving path on the calling thread: lookup, then compute
+/// on a miss, panics contained in both halves.
+fn serve(
+    core: &Arc<ServiceCore>,
+    request: &SolveRequest,
+    key: Option<InstanceFingerprint>,
+) -> Result<Arc<SolveReport>, SolveError> {
+    let start = Instant::now();
+    match lookup_containing_panics(core, request, key, start) {
+        Lookup::Answered(result) => result,
+        Lookup::Miss(key) => compute_containing_panics(core, request, key, start),
+    }
 }
 
 /// The background thorough re-solve an escalation runs: same request,
@@ -735,7 +784,7 @@ impl SolverService {
     /// reported as [`SolveError::EnginePanicked`], same as on the
     /// batch/stream paths.
     pub fn solve(&self, request: &SolveRequest) -> Result<Arc<SolveReport>, SolveError> {
-        solve_containing_panics(&self.core, request, None)
+        serve(&self.core, request, None)
     }
 
     /// Solves `instances` in parallel on the service pool under the
@@ -815,7 +864,7 @@ impl SolverService {
                     let core = Arc::clone(&self.core);
                     let tx = tx.clone();
                     self.pool().submit(move || {
-                        let _ = tx.send((index, solve_containing_panics(&core, &request, key)));
+                        let _ = tx.send((index, serve(&core, &request, key)));
                     });
                 }
             }
@@ -833,7 +882,7 @@ impl SolverService {
                     let tx = tx.clone();
                     self.pool().submit(move || {
                         for (index, request, key) in &chunk {
-                            let result = solve_containing_panics(&core, request, *key);
+                            let result = serve(&core, request, *key);
                             if tx.send((*index, result)).is_err() {
                                 return;
                             }
@@ -879,22 +928,40 @@ impl SolverService {
             .collect()
     }
 
-    /// Submits one request to the service pool and invokes `on_done`
-    /// with the result on the worker that served it — the asynchronous
-    /// single-request entry point (the network daemon's solve path:
-    /// admit, submit, write the response from the callback). The same
-    /// serving pipeline as [`SolverService::solve`] applies — cache,
-    /// deadline/cancel fail-fast, panic containment — and the call
-    /// never blocks on the solve itself (it may briefly block starting
-    /// the pool on first use).
+    /// The asynchronous single-request entry point (the network
+    /// daemon's solve path). The lookup half of the serving pipeline —
+    /// deadline/cancel fail-fast, fingerprint, cache lookup — runs on
+    /// the calling thread, with panics contained:
+    ///
+    /// * a cache hit or a fail-fast error is returned as `Some(answer)`,
+    ///   and `on_done` is dropped uncalled before this returns;
+    /// * a miss returns `None` and queues the compute half on the
+    ///   service pool with the fingerprint already taken; `on_done` then
+    ///   runs with the result on the worker that computed it.
+    ///
+    /// Either way the request is counted once and looked up in the
+    /// cache once. The call never blocks on a compute (it may briefly
+    /// block starting the pool on the first miss).
+    #[must_use = "a `Some` answer is the reply; `on_done` is not called for it"]
     pub fn solve_detached(
         &self,
         request: SolveRequest,
         on_done: impl FnOnce(Result<Arc<SolveReport>, SolveError>) + Send + 'static,
-    ) {
-        let core = Arc::clone(&self.core);
-        self.pool()
-            .submit(move || on_done(solve_containing_panics(&core, &request, None)));
+    ) -> Option<Result<Arc<SolveReport>, SolveError>> {
+        let start = Instant::now();
+        match lookup_containing_panics(&self.core, &request, None, start) {
+            Lookup::Answered(result) => {
+                drop(on_done);
+                Some(result)
+            }
+            Lookup::Miss(key) => {
+                let core = Arc::clone(&self.core);
+                self.pool().submit(move || {
+                    on_done(compute_containing_panics(&core, &request, key, start));
+                });
+                None
+            }
+        }
     }
 
     /// Submits every request to the pool and returns an iterator that
@@ -913,7 +980,7 @@ impl SolverService {
             let core = Arc::clone(&self.core);
             let tx = tx.clone();
             self.pool().submit(move || {
-                let _ = tx.send((i, solve_containing_panics(&core, &request, None)));
+                let _ = tx.send((i, serve(&core, &request, None)));
             });
         }
         SolveStream {

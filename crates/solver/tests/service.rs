@@ -6,7 +6,10 @@ use repliflow_core::instance::{CostModel, Objective, ProblemInstance};
 use repliflow_solver::{
     BatchOptions, CancelToken, CommModel, Deadline, Provenance, SolveError, SolverService,
 };
+use repliflow_sync::sync::atomic::{AtomicBool, Ordering};
+use repliflow_sync::sync::{mpsc, Arc};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn simplified_instances(n: usize, seed: u64) -> Vec<ProblemInstance> {
     let mut gen = Gen::new(seed);
@@ -102,6 +105,92 @@ fn single_solves_never_start_the_pool() {
     let batch = simplified_instances(4, 0x3E21);
     service.solve_batch(&batch);
     assert_eq!(service.spawned_threads(), 4);
+}
+
+/// The daemon's path: `solve_detached` answers a warmed request on the
+/// calling thread — no callback, no pool — with the report `solve`
+/// computed, counting the request once.
+#[test]
+fn warmed_detached_requests_are_answered_inline() {
+    let service = SolverService::builder().workers(2).build();
+    let request = service.request(simplified_instances(1, 0x3E30).pop().unwrap());
+    let cold = service.solve(&request).expect("cold solve");
+    let called = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&called);
+    let warm = service
+        .solve_detached(request, move |_| flag.store(true, Ordering::SeqCst))
+        .expect("a hit is answered inline")
+        .expect("the hit succeeds");
+    assert!(!called.load(Ordering::SeqCst), "on_done ran for a hit");
+    assert_eq!(service.spawned_threads(), 0, "a hit started the pool");
+    assert_eq!(warm.provenance, Provenance::Cached);
+    assert_eq!(warm.canonical_json(), cold.canonical_json());
+    let stats = service.stats();
+    assert_eq!(
+        (stats.requests, stats.cache_hits, stats.computed),
+        (2, 1, 1)
+    );
+    assert_eq!(stats.latency.count, 2, "one latency sample per request");
+    let cache = service.cache_stats().expect("caching service");
+    assert_eq!((cache.hits, cache.misses), (1, 1));
+}
+
+/// A detached miss is looked up once on the calling thread and
+/// computed on the pool under the fingerprint the lookup took: one
+/// cache miss, not two.
+#[test]
+fn a_detached_miss_is_looked_up_once_and_computed_on_the_pool() {
+    let service = SolverService::builder().workers(1).build();
+    let request = service.request(simplified_instances(1, 0x3E31).pop().unwrap());
+    let (tx, rx) = mpsc::channel();
+    let inline = service.solve_detached(request.clone(), move |result| {
+        let _ = tx.send(result);
+    });
+    assert!(inline.is_none(), "a miss was answered inline");
+    let report = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("on_done runs for a miss")
+        .expect("the miss computes");
+    assert_eq!(report.provenance, Provenance::Computed);
+    assert_eq!(service.spawned_threads(), 1);
+    let cache = service.cache_stats().expect("caching service");
+    assert_eq!(
+        (cache.hits, cache.misses, cache.insertions),
+        (0, 1, 1),
+        "a miss is looked up once and written back once"
+    );
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.computed), (1, 1));
+    // the write-back went under the same key: the next lookup hits
+    let hit = service
+        .solve_detached(request, |_| panic!("on_done ran for a hit"))
+        .expect("answered inline")
+        .expect("the hit succeeds");
+    assert_eq!(hit.canonical_json(), report.canonical_json());
+}
+
+/// A fail-fast error needs no compute either: `solve_detached` gives an
+/// expired deadline the same inline error `solve` gives, without a
+/// cache lookup.
+#[test]
+fn an_expired_deadline_gets_the_same_inline_error_as_solve() {
+    let service = SolverService::builder().workers(1).build();
+    let request = service
+        .request(simplified_instances(1, 0x3E32).pop().unwrap())
+        .deadline(Deadline::in_ms(0));
+    let direct = service.solve(&request).expect_err("expired deadline");
+    let detached = service
+        .solve_detached(request, |_| panic!("on_done ran for a fail-fast error"))
+        .expect("answered inline")
+        .expect_err("expired deadline");
+    assert!(matches!(direct, SolveError::DeadlineExceeded));
+    assert!(matches!(detached, SolveError::DeadlineExceeded));
+    assert_eq!(detached.to_string(), direct.to_string());
+    assert_eq!(service.spawned_threads(), 0);
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.errors), (2, 2));
+    let cache = service.cache_stats().expect("caching service");
+    assert_eq!(cache.hits + cache.misses, 0, "fail-fast skips the cache");
 }
 
 /// Bugfix satellite: a deadline that is already expired when the
