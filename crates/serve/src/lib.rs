@@ -17,10 +17,10 @@
 //!   bytes read and independent of how they were chunked.
 //! * [`server`] — the daemon: thread-per-connection accept loop;
 //!   cache hits, errors and admin verbs answered on the connection
-//!   thread; per-connection writer threads forwarding the pool's
-//!   answers to cache misses (responses in completion order, so
-//!   clients may pipeline); graceful drain that answers everything
-//!   admitted before exiting.
+//!   thread, cache misses on the pool; per-connection writer threads,
+//!   the only ones writing to the socket (responses in completion
+//!   order, so clients may pipeline); graceful drain that answers
+//!   everything admitted before exiting.
 //! * [`signal`] — SIGINT/SIGTERM → drain flag, without a `libc` crate.
 //! * [`client`] — a synchronous client: the CLI's `--remote` mode, the
 //!   `ctl` admin subcommand, tests and benchmarks.

@@ -18,9 +18,10 @@
 //! wait for that line), serves until SIGINT/SIGTERM or a `shutdown`
 //! verb, drains — every admitted request is answered — and exits 0.
 //!
-//! On glibc the daemon caps its malloc arenas at two per pool worker
-//! (see `ARENAS_PER_WORKER`), so its RSS tracks the live set rather
-//! than the number of threads that ever allocated.
+//! On glibc the daemon caps its malloc arenas at two per pool worker,
+//! never above glibc's own default (see `ARENAS_PER_WORKER`), so its
+//! RSS tracks the live set rather than the number of threads that ever
+//! allocated.
 //!
 //! `ctl` connects as a client, runs one verb, prints the response
 //! (pretty JSON for `stats`) and exits 0 on success.
@@ -42,9 +43,16 @@ use std::process::ExitCode;
 /// uncapped, at the uncapped p50. A cap of 1 or 2 cut RSS further
 /// (12–17 MB), but threads then queue on the arena locks: the median
 /// p50 was 17% above the uncapped one. Other worker counts are not
-/// measured.
+/// measured: scaling with `--workers` is an assumption, and the cap is
+/// clamped to glibc's default so that it can only lower the limit.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 const ARENAS_PER_WORKER: usize = 2;
+
+/// glibc's default arena limit per core on 64-bit targets. Setting
+/// `M_ARENA_MAX` replaces that limit rather than lowering it, so the
+/// cap is clamped to it.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const GLIBC_ARENAS_PER_CORE: usize = 8;
 
 /// glibc's `mallopt` parameter that caps the arena count.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -58,10 +66,16 @@ extern "C" {
 }
 
 /// Caps glibc's malloc arenas at [`ARENAS_PER_WORKER`] per pool
-/// worker. Call before the daemon starts its threads.
+/// worker, and at most at glibc's default of
+/// [`GLIBC_ARENAS_PER_CORE`] per core. Call before the daemon starts
+/// its threads.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn cap_malloc_arenas(workers: usize) {
-    let arenas = i32::try_from(workers.saturating_mul(ARENAS_PER_WORKER)).unwrap_or(i32::MAX);
+    let cores = repliflow_sync::thread::available_parallelism().map_or(1, usize::from);
+    let arenas = workers
+        .saturating_mul(ARENAS_PER_WORKER)
+        .min(cores.saturating_mul(GLIBC_ARENAS_PER_CORE));
+    let arenas = i32::try_from(arenas).unwrap_or(i32::MAX);
     // SAFETY: `mallopt` is glibc's own entry point with this C `int`
     // signature; it only sets an allocator parameter, and it runs here
     // before any other thread exists. A refusal (return 0) leaves the

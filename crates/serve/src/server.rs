@@ -5,18 +5,19 @@
 //!
 //! One [`Server`] owns one shared [`SolverService`] (persistent worker
 //! pool + solve cache) and a TCP listener. Each accepted connection
-//! gets two threads that share the socket's write half behind one
-//! lock, one whole response line per lock:
+//! gets two threads:
 //!
 //! * a **reader** (the connection thread): parses bounded request
-//!   lines and answers everything that needs no compute itself —
-//!   admin verbs, malformed lines, drain refusals, sheds
+//!   lines and answers everything that needs no engine compute itself
+//!   — admin verbs, malformed lines, drain refusals, sheds
 //!   (`overloaded`) and, through [`SolverService::solve_detached`],
 //!   cache hits and fail-fast errors of admitted `solve` requests. A
 //!   cache miss is queued on the service pool;
-//! * a **writer**: forwards the answers computed off the connection
-//!   thread (pool misses, `pareto` fronts) from an mpsc channel, so a
-//!   pool worker never blocks on a slow peer.
+//! * a **writer**: the only thread that writes to the socket. It
+//!   serializes responses from an unbounded mpsc channel, one JSON line
+//!   each. The reader, pool workers and front threads only queue, so
+//!   none of them ever blocks on a slow peer, and the reader keeps
+//!   draining a client that pipelines a large batch before it reads.
 //!
 //! Answers go out in *completion* order — the echoed request `id` is
 //! the client's correlation key, so one connection can pipeline many
@@ -25,9 +26,8 @@
 //! Engine compute never runs on connection threads: connections stay
 //! cheap (two mostly-parked threads), and total solve concurrency is
 //! bounded by the service pool regardless of the connection count. A
-//! hit costs the connection thread a parse, a fingerprint and a cache
-//! lookup, which is cheaper than the two thread hand-offs of a pool
-//! round trip.
+//! hit costs the reader a parse, a fingerprint and a cache lookup,
+//! which is cheaper than the pool round trip it skips.
 //!
 //! ## Lifecycle
 //!
@@ -39,16 +39,15 @@
 //!    connection accepted from then on is dropped unserved, and the
 //!    listener closes — new connects are refused,
 //! 2. stops reading new requests on every connection,
-//! 3. answers every already-admitted request (a hit was answered
-//!    inline before the reader moved on; for the rest each reader drops
-//!    its channel sender and joins its writer, which drains the
-//!    in-flight solve callbacks' responses first),
+//! 3. answers every already-admitted request (each reader drops its
+//!    channel sender and joins its writer, which drains the in-flight
+//!    solve callbacks' responses first),
 //! 4. joins every connection thread and returns cleanly — the binary
 //!    exits 0.
 //!
 //! Nothing admitted is ever dropped: a ticket only dies right before
-//! its response line is written or queued to the writer, and the
-//! writer only exits after the queue is empty.
+//! its response line is queued to the writer, and the writer only
+//! exits after the queue is empty.
 
 use crate::admission::{Admission, AdmissionConfig, Ticket};
 use crate::framing::{Frame, LineBuffer};
@@ -60,10 +59,10 @@ use crate::{metrics, signal};
 use repliflow_multicrit::{FrontRequest, FrontSolver};
 use repliflow_solver::{Budget, Deadline, SolveError, SolveReport, SolveRequest, SolverService};
 use repliflow_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use repliflow_sync::sync::{mpsc, Arc, Mutex, PoisonError};
+use repliflow_sync::sync::{mpsc, Arc};
 use repliflow_sync::thread::JoinHandle;
 use serde::Value;
-use std::io::{ErrorKind, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -409,28 +408,6 @@ impl<'a> LineReader<'a> {
     }
 }
 
-/// A connection's write half, shared by the connection thread (inline
-/// answers) and its writer thread (queued answers), one whole line per
-/// lock. `None` once a write failed: the peer is gone, and later
-/// answers are dropped instead of each waiting out the write timeout.
-type WriteHalf = Mutex<Option<TcpStream>>;
-
-/// Writes one response line and its terminator in a single write under
-/// the connection's write lock, so lines from the two writing threads
-/// never interleave.
-fn write_line(out: &WriteHalf, mut line: String) {
-    line.push('\n');
-    // Only `write_all` runs under this lock, and it reports failure as
-    // an error, not a panic: a poisoned lock still guards a whole
-    // stream.
-    let mut half = out.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(stream) = half.as_mut() {
-        if stream.write_all(line.as_bytes()).is_err() {
-            *half = None;
-        }
-    }
-}
-
 /// The line for a solve's outcome.
 fn solve_response(id: &Value, result: Result<Arc<SolveReport>, SolveError>) -> String {
     match result {
@@ -442,10 +419,9 @@ fn solve_response(id: &Value, result: Result<Arc<SolveReport>, SolveError>) -> S
     }
 }
 
-/// Serves one connection: reads requests until EOF/drain, writes the
-/// inline answers itself and leaves pool and front answers to the
-/// writer thread, then waits for every admitted solve's response to
-/// flush before hanging up.
+/// Serves one connection: reads requests until EOF/drain, answers via
+/// the writer thread, then waits for every admitted solve's response
+/// to flush before hanging up.
 fn handle_connection(
     stream: TcpStream,
     service: &Arc<SolverService>,
@@ -455,23 +431,27 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    // A stuck peer must not wedge a writing thread (and thus drain)
-    // forever.
+    // A stuck peer must not wedge the writer (and thus drain) forever.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let out: Arc<WriteHalf> = Arc::new(Mutex::new(Some(write_half)));
     let (tx, rx) = mpsc::channel::<String>();
-    let writer_out = Arc::clone(&out);
     let spawned = repliflow_sync::thread::Builder::new()
         .name("repliflow-serve-write".into())
         .spawn(move || {
-            // Answers computed off the connection thread: pool workers
-            // and front threads only queue, so none of them ever blocks
-            // on a slow peer.
+            let mut out = BufWriter::new(write_half);
             for line in rx {
-                write_line(&writer_out, line);
+                if out
+                    .write_all(line.as_bytes())
+                    .and_then(|()| out.write_all(b"\n"))
+                    .and_then(|()| out.flush())
+                    .is_err()
+                {
+                    // Peer is gone: stop writing. Senders' `send`s fail
+                    // harmlessly; admission tickets still release.
+                    return;
+                }
             }
         });
     // Without a writer thread the connection cannot answer anything;
@@ -494,19 +474,18 @@ fn handle_connection(
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(line, service, front, shared, &conn_inflight, &out, &tx);
+                handle_line(line, service, front, shared, &conn_inflight, &tx);
             }
-            Line::TooLong => write_line(
-                &out,
-                err_response(
+            Line::TooLong => {
+                let _ = tx.send(err_response(
                     &Value::Null,
                     ErrorCode::LineTooLong,
                     &format!(
                         "request line exceeds the {} byte cap; request skipped",
                         shared.max_line_bytes
                     ),
-                ),
-            ),
+                ));
+            }
             Line::Draining | Line::Eof | Line::Failed => break,
         }
     }
@@ -518,51 +497,53 @@ fn handle_connection(
 }
 
 /// Dispatches one parsed request line. Everything answered without
-/// compute — errors, sheds, admin verbs, cache hits — is written here,
+/// compute — errors, sheds, admin verbs, cache hits — is answered here,
 /// on the connection thread; cache misses go to the service pool and
-/// fronts to their own thread, both answering through `tx`.
+/// fronts to their own thread. Every answer is queued to the writer
+/// through `tx`, so this thread never blocks on the peer and keeps
+/// draining pipelined requests.
 fn handle_line(
     line: &str,
     service: &Arc<SolverService>,
     front: &Arc<FrontSolver>,
     shared: &Arc<ServerShared>,
     conn_inflight: &Arc<AtomicUsize>,
-    out: &WriteHalf,
     tx: &mpsc::Sender<String>,
 ) {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(failure) => {
-            write_line(
-                out,
-                err_response(&failure.id, failure.code, &failure.message),
-            );
+            let _ = tx.send(err_response(&failure.id, failure.code, &failure.message));
             return;
         }
     };
     let id = request.id;
     match request.verb {
-        Verb::Ping => write_line(
-            out,
-            ok_response(&id, Value::Object(vec![("pong".into(), Value::Bool(true))])),
-        ),
-        Verb::Stats => write_line(out, ok_response(&id, metrics::snapshot(service, shared))),
+        Verb::Ping => {
+            let _ = tx.send(ok_response(
+                &id,
+                Value::Object(vec![("pong".into(), Value::Bool(true))]),
+            ));
+        }
+        Verb::Stats => {
+            let _ = tx.send(ok_response(&id, metrics::snapshot(service, shared)));
+        }
         Verb::Shutdown => {
-            // Answer first, then raise the flag: the acknowledgement is
-            // on the wire before the connection can see the drain.
-            write_line(
-                out,
-                ok_response(
-                    &id,
-                    Value::Object(vec![("draining".into(), Value::Bool(true))]),
-                ),
-            );
+            // Answer first, then raise the flag: the writer drains its
+            // queue before exiting, so the acknowledgement always ships.
+            let _ = tx.send(ok_response(
+                &id,
+                Value::Object(vec![("draining".into(), Value::Bool(true))]),
+            ));
             shared.request_drain();
         }
         Verb::Solve(body) => {
             let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
-                Err(refusal) => return write_line(out, refusal),
+                Err(refusal) => {
+                    let _ = tx.send(refusal);
+                    return;
+                }
             };
             let mut solve = SolveRequest::new(body.instance)
                 .engine(body.engine)
@@ -571,27 +552,30 @@ fn handle_line(
             if let Some(ms) = body.deadline_ms {
                 solve = solve.deadline(Deadline::in_ms(ms));
             }
-            let tx = tx.clone();
-            let queued_id = id.clone();
+            let pool_tx = tx.clone();
+            let pool_id = id.clone();
             let inline = service.solve_detached(solve, move |result| {
-                let response = solve_response(&queued_id, result);
+                let response = solve_response(&pool_id, result);
                 // Release the slot before queuing the response: a
                 // client that has read its answer must already see the
                 // request as completed (e.g. in a follow-up `stats`).
                 drop(ticket);
-                let _ = tx.send(response);
+                let _ = pool_tx.send(response);
             });
             // An inline answer dropped the callback, and the ticket in
             // it, before `solve_detached` returned: released before
             // answered here too.
             if let Some(result) = inline {
-                write_line(out, solve_response(&id, result));
+                let _ = tx.send(solve_response(&id, result));
             }
         }
         Verb::Pareto(body) => {
             let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
-                Err(refusal) => return write_line(out, refusal),
+                Err(refusal) => {
+                    let _ = tx.send(refusal);
+                    return;
+                }
             };
             let mut budget = shared.default_budget.quality(body.quality);
             if let Some(points) = body.points {
@@ -626,14 +610,11 @@ fn handle_line(
             if spawned.is_err() {
                 // Resource exhaustion: shed this request; the ticket
                 // (moved into the dropped closure) releases on drop.
-                write_line(
-                    out,
-                    err_response(
-                        &id,
-                        ErrorCode::Overloaded,
-                        "cannot spawn a front orchestration thread; retry later",
-                    ),
-                );
+                let _ = tx.send(err_response(
+                    &id,
+                    ErrorCode::Overloaded,
+                    "cannot spawn a front orchestration thread; retry later",
+                ));
             }
         }
     }

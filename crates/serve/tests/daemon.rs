@@ -748,3 +748,93 @@ fn hits_pipelined_behind_a_slow_miss_are_answered_first() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// A long pipeline on a homogeneous platform (a polynomial period cell,
+/// so its one cold solve is cheap) whose request line and hit answer are
+/// each tens of kilobytes.
+fn long_pipeline_json(stages: usize) -> String {
+    let mut state = 0x9e37_79b9_u64;
+    let mut next = |lo: u64, hi: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        lo + (state >> 33) % (hi - lo + 1)
+    };
+    let weights: Vec<String> = (0..stages).map(|_| next(100, 999).to_string()).collect();
+    let sizes: Vec<String> = (0..=stages).map(|_| next(10, 99).to_string()).collect();
+    format!(
+        r#"{{"workflow":{{"Pipeline":{{"weights":[{}],"data_sizes":[{}]}}}},"platform":{{"speeds":[3,3,3,3,3,3,3,3]}},"allow_data_parallel":false,"objective":"Period"}}"#,
+        weights.join(","),
+        sizes.join(",")
+    )
+}
+
+/// A client may pipeline a whole batch before it reads any answer. The
+/// connection thread only queues its answers to the writer, so it keeps
+/// reading while the unread answers outgrow both sockets' buffers
+/// (Linux grows a send buffer to 4 MB by default), and every request
+/// still gets exactly one whole answer.
+#[test]
+fn a_batch_pipelined_before_any_read_is_answered_in_full() {
+    const BATCH: usize = 600;
+    let (addr, handle, join) = start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let instance = long_pipeline_json(5_000);
+    let line = |id: usize| format!(r#"{{"v":1,"id":{id},"verb":"solve","instance":{instance}}}"#);
+    // Warm the cache, so every batched request is answered inline.
+    let warm = raw_exchange(addr, &[line(BATCH)], 1);
+    assert_eq!(err_code(&warm[0]), None, "warming solve failed");
+
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    // A daemon that stops reading while its answers are unread would
+    // block this client's writes; fail instead of hanging.
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for id in 0..BATCH {
+        let mut request = line(id);
+        request.push('\n');
+        stream
+            .write_all(request.as_bytes())
+            .unwrap_or_else(|e| panic!("request {id}: the daemon stopped reading: {e}"));
+    }
+    let mut answered = vec![false; BATCH];
+    let mut bytes = 0;
+    for _ in 0..BATCH {
+        let mut text = String::new();
+        let read = reader.read_line(&mut text).expect("response read");
+        assert!(read > 0, "daemon hung up before answering everything");
+        bytes += read;
+        let response = parse_value(text.trim_end()).expect("a whole response line");
+        assert_eq!(
+            err_code(&response),
+            None,
+            "{}",
+            &text[..200.min(text.len())]
+        );
+        let id = usize::try_from(id_int(&response)).expect("id in range");
+        assert!(!answered[id], "request {id} answered twice");
+        answered[id] = true;
+    }
+    assert!(
+        bytes > 16 << 20,
+        "only {bytes} response bytes: the batch no longer outgrows the socket buffers"
+    );
+    let stats = RemoteClient::connect(addr)
+        .expect("client connects")
+        .stats()
+        .expect("stats verb");
+    let cache_hits = stats
+        .field("service")
+        .and_then(|s| s.field("cache_hits"))
+        .and_then(Value::as_int);
+    assert_eq!(cache_hits, Some(BATCH as i128));
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}

@@ -7,10 +7,7 @@
 //! models its drain essence: a connection thread that checks the
 //! draining flag, admits, answers through the writer channel, and
 //! releases its ticket; a drain thread that raises the flag at an
-//! arbitrary point. A further model adds the two writers of one socket:
-//! the connection thread writing inline answers (hits, refusals) and
-//! the writer thread forwarding a pool worker's queued answer, both
-//! under the connection's one write lock. The contract under exploration is the one
+//! arbitrary point. The contract under exploration is the one
 //! `ServerHandle::shutdown` documents — **every request that is read
 //! gets exactly one response** (a solve answer, a shed, or a drain
 //! refusal; never silence), every admitted request completes, and the
@@ -22,7 +19,7 @@
 use repliflow_serve::admission::{Admission, AdmissionConfig};
 use repliflow_sync::loom;
 use repliflow_sync::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use repliflow_sync::sync::{mpsc, Arc, Mutex};
+use repliflow_sync::sync::{mpsc, Arc};
 use repliflow_sync::thread;
 
 /// What the modelled connection answered for one request.
@@ -146,125 +143,6 @@ fn drain_observed_before_admit_is_refused_not_dropped() {
     .schedules;
     eprintln!("drain_refusal: {schedules} schedules");
     assert!(schedules >= 2, "explored only {schedules} schedules");
-}
-
-/// One `write` call on the modelled socket: a line's body or its
-/// terminator, tagged with the request id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Wire {
-    Body(u32),
-    End(u32),
-}
-
-/// A connection's write half as `server.rs` shares it: the line lock
-/// both writing threads take, over a socket whose every `write` is a
-/// scheduling point of its own.
-#[derive(Default)]
-struct WriteHalf {
-    line: Mutex<()>,
-    socket: Mutex<Vec<Wire>>,
-}
-
-/// `write_line`: body and terminator under one hold of the line lock.
-/// Without that lock another thread's line could land between them.
-fn write_line(out: &WriteHalf, id: u32) {
-    let _line = out.line.lock().expect("line lock");
-    out.socket.lock().expect("socket").push(Wire::Body(id));
-    out.socket.lock().expect("socket").push(Wire::End(id));
-}
-
-/// `handle_line` for one solve: drain check and admission, then an
-/// inline answer for a hit or a refusal, or for a miss a pool worker
-/// that releases the ticket and queues the answer to the writer.
-fn serve_solve(
-    id: u32,
-    hit: bool,
-    draining: &AtomicBool,
-    admission: &Arc<Admission>,
-    conn: &Arc<AtomicUsize>,
-    out: &WriteHalf,
-    tx: &mpsc::Sender<u32>,
-) -> Option<thread::JoinHandle<()>> {
-    if draining.load(Ordering::SeqCst) {
-        write_line(out, id);
-        return None;
-    }
-    let Ok(ticket) = admission.try_admit(conn) else {
-        write_line(out, id);
-        return None;
-    };
-    if hit {
-        drop(ticket);
-        write_line(out, id);
-        return None;
-    }
-    let tx = tx.clone();
-    Some(thread::spawn(move || {
-        drop(ticket);
-        let _ = tx.send(id);
-    }))
-}
-
-#[test]
-fn inline_and_queued_answers_are_whole_lines_on_one_socket() {
-    let schedules = loom::Builder {
-        max_preemptions: 2,
-        max_schedules: 50_000,
-    }
-    .model(|| {
-        let draining = Arc::new(AtomicBool::new(false));
-        let admission = Admission::new(AdmissionConfig {
-            queue_depth: 4,
-            per_conn_inflight: 4,
-        });
-        let out = Arc::new(WriteHalf::default());
-        let (tx, rx) = mpsc::channel::<u32>();
-        let writer = {
-            let out = Arc::clone(&out);
-            thread::spawn(move || {
-                for id in rx {
-                    write_line(&out, id);
-                }
-            })
-        };
-        // One connection: a miss, then a hit pipelined behind it,
-        // racing the drain.
-        let conn_thread = {
-            let draining = Arc::clone(&draining);
-            let admission = Arc::clone(&admission);
-            let out = Arc::clone(&out);
-            thread::spawn(move || {
-                let conn = Arc::new(AtomicUsize::new(0));
-                let worker = serve_solve(1, false, &draining, &admission, &conn, &out, &tx);
-                serve_solve(2, true, &draining, &admission, &conn, &out, &tx);
-                // reader loop exits; dropping tx lets the writer drain.
-                worker
-            })
-        };
-        draining.store(true, Ordering::SeqCst);
-        let worker = conn_thread.join().expect("connection thread joins");
-        if let Some(worker) = worker {
-            worker.join().expect("pool worker joins");
-        }
-        writer.join().expect("writer drains and exits");
-
-        let socket = out.socket.lock().expect("socket").clone();
-        let mut ids: Vec<u32> = socket
-            .chunks(2)
-            .map(|line| match line {
-                [Wire::Body(a), Wire::End(b)] if a == b => *a,
-                torn => panic!("a torn line on the wire: {torn:?}"),
-            })
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2], "a request was not answered exactly once");
-        let stats = admission.stats();
-        assert_eq!(stats.completed, stats.accepted, "an admit never completed");
-        assert_eq!(stats.in_flight, 0, "drain left a ticket in flight");
-    })
-    .schedules;
-    eprintln!("drain_shared_writes: {schedules} schedules");
-    assert!(schedules >= 4, "explored only {schedules} schedules");
 }
 
 #[test]

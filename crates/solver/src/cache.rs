@@ -30,8 +30,7 @@
 //! shard is selected by the *high* bits of its 128-bit fingerprint:
 //! FNV-1a mixes every input byte into the top bits, so keys spread
 //! uniformly and two concurrent warm-path lookups almost never contend
-//! on the same mutex. Each shard is aligned to its own 128-byte block,
-//! so neighbouring shards never false-share a cache line. One solve dwarfs a map lookup by many orders of
+//! on the same mutex. One solve dwarfs a map lookup by many orders of
 //! magnitude, so sharding is irrelevant for cold traffic — it exists
 //! for the warm path under concurrent daemon load, where every request
 //! is a lookup and a single mutex becomes the serialization point (the
@@ -215,14 +214,6 @@ impl<V> Inner<V> {
     }
 }
 
-/// One shard's lock and LRU, aligned (and so padded) to 128 bytes. Two
-/// shards then never share a cache line, nor the pair of lines that
-/// x86's adjacent-line prefetcher fetches together: taking one shard's
-/// lock never invalidates the line another core is locking in the
-/// next shard.
-#[repr(align(128))]
-struct Shard<V>(Mutex<Inner<V>>);
-
 /// A bounded, thread-safe, lock-striped LRU over fingerprint keys —
 /// the one loom-modelchecked locking pattern behind every cache in the
 /// workspace. [`SolveCache`] instantiates it with [`SolveReport`]
@@ -236,7 +227,7 @@ pub struct ShardedLru<V> {
     /// `log2(shards.len())` — the number of fingerprint high bits that
     /// select a shard.
     shard_bits: u32,
-    shards: Vec<Shard<V>>,
+    shards: Vec<Mutex<Inner<V>>>,
 }
 
 /// A bounded, thread-safe, lock-striped LRU cache of [`SolveReport`]s
@@ -287,9 +278,7 @@ impl<V> ShardedLru<V> {
         ShardedLru {
             shard_capacity,
             shard_bits: shards.trailing_zeros(),
-            shards: (0..shards)
-                .map(|_| Shard(Mutex::new(Inner::new())))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Inner::new())).collect(),
         }
     }
 
@@ -312,14 +301,14 @@ impl<V> ShardedLru<V> {
         // arithmetic on the top half instead.
         let hi = (key.as_u128() >> 64) as u64;
         let idx = (hi >> (64 - self.shard_bits as u64).min(63)) as usize & (self.shards.len() - 1);
-        &self.shards[idx].0
+        &self.shards[idx]
     }
 
     /// Current number of cached reports (summed over shards).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .filter_map(|s| s.0.lock().ok())
+            .filter_map(|s| s.lock().ok())
             .map(|inner| inner.index.len())
             .sum()
     }
@@ -359,7 +348,7 @@ impl<V> ShardedLru<V> {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            if let Ok(inner) = shard.0.lock() {
+            if let Ok(inner) = shard.lock() {
                 total.merge(inner.stats);
             }
         }
@@ -371,7 +360,7 @@ impl<V> ShardedLru<V> {
         for shard in &self.shards {
             // Clearing a poisoned shard is safe (every link is reset
             // below), and recovering it un-wedges the shard for reuse.
-            let mut inner = shard.0.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut inner = shard.lock().unwrap_or_else(PoisonError::into_inner);
             inner.index.clear();
             inner.entries.clear();
             inner.free.clear();
@@ -380,7 +369,7 @@ impl<V> ShardedLru<V> {
             drop(inner);
             // Poisoning is sticky on std mutexes; the shard is now in a
             // known-good (empty) state, so forget the old panic.
-            shard.0.clear_poison();
+            shard.clear_poison();
         }
     }
 }
@@ -420,20 +409,6 @@ mod tests {
             provenance: Provenance::Computed,
             wall_time: Duration::from_millis(tag),
             canonical: Default::default(),
-        }
-    }
-
-    #[test]
-    fn shards_sit_on_separate_cache_lines() {
-        assert_eq!(std::mem::align_of::<Shard<SolveReport>>(), 128);
-        let cache = SolveCache::with_shards(64, 8);
-        let lines: Vec<usize> = cache
-            .shards
-            .iter()
-            .map(|shard| std::ptr::from_ref(shard) as usize / 128)
-            .collect();
-        for pair in lines.windows(2) {
-            assert!(pair[0] < pair[1], "two shards share a 128-byte block");
         }
     }
 
@@ -593,7 +568,7 @@ mod tests {
         // Poison the (only) shard: unwind while holding its lock, as a
         // worker crashing mid-relink would.
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cache.shards[0].0.lock().unwrap();
+            let _guard = cache.shards[0].lock().unwrap();
             panic!("simulated crash while holding the shard lock");
         }));
         assert!(unwound.is_err());
