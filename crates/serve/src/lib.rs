@@ -17,7 +17,9 @@
 //!   bytes read and independent of how they were chunked.
 //! * [`server`] — the daemon: thread-per-connection accept loop;
 //!   cache hits, errors and admin verbs answered on the connection
-//!   thread, cache misses on the pool; per-connection writer threads,
+//!   thread, cache misses on the pool; an instance memo that recognizes
+//!   a repeated `solve` instance by its raw bytes, so a warm hit skips
+//!   the decode and the fingerprint; per-connection writer threads,
 //!   the only ones writing to the socket (responses in completion
 //!   order, so clients may pipeline); graceful drain that answers
 //!   everything admitted before exiting.
@@ -40,6 +42,7 @@
 pub mod admission;
 pub mod client;
 pub mod framing;
+mod memo;
 mod metrics;
 pub mod protocol;
 pub mod server;

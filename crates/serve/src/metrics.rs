@@ -19,6 +19,7 @@
 //!             "per_engine":[{"engine":"paper","wall_ms":...,"solves":4}]},
 //!  "cache":{"hits":3,"misses":6,"insertions":5,"evictions":0,
 //!           "shards":8},
+//!  "instance_memo":{"hits":2,"misses":7,"entries":5,"capacity":1024},
 //!  "hedge":{"races":2,"primary_wins":1,"secondary_wins":1,
 //!           "losers_cancelled":2,"window_rescues":0},
 //!  "escalation":{"scheduled":1,"refreshed":1,"unimproved":0,
@@ -27,7 +28,11 @@
 //!             "p50_us":...,"p95_us":...,"p99_us":...}}
 //! ```
 //!
-//! `cache` is `null` when the daemon runs cacheless; latency
+//! `instance_memo` counts `solve` lines whose instance bytes the memo
+//! recognized (`hits`: no decode, no fingerprint) or did not (`misses`),
+//! and the entries it holds against its capacity, which is the solve
+//! cache's. `cache` and `instance_memo` are `null` when the daemon runs
+//! cacheless; latency
 //! percentiles are `null` until the first request is served. The
 //! `hedge` counters stay zero until the first `engine: "hedged"`
 //! request; `escalation` counters stay zero unless the daemon runs
@@ -94,6 +99,18 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
                 Value::Int(service.cache_shards().unwrap_or(0) as i128),
             ),
         ]),
+    };
+    let instance_memo = match &shared.memo {
+        None => Value::Null,
+        Some(memo) => {
+            let counts = memo.stats();
+            Value::Object(vec![
+                ("hits".into(), Value::Int(counts.hits as i128)),
+                ("misses".into(), Value::Int(counts.misses as i128)),
+                ("entries".into(), Value::Int(memo.len() as i128)),
+                ("capacity".into(), Value::Int(memo.capacity() as i128)),
+            ])
+        }
     };
     let hedge = Value::Object(vec![
         ("races".into(), Value::Int(stats.hedge.races as i128)),
@@ -191,6 +208,7 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
             ]),
         ),
         ("cache".into(), cache),
+        ("instance_memo".into(), instance_memo),
         ("hedge".into(), hedge),
         ("escalation".into(), escalation),
         ("latency".into(), latency_section(&stats.latency)),

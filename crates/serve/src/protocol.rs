@@ -53,6 +53,8 @@
 //! `stats`, `{"pong":true}` for `ping`, `{"draining":true}` for
 //! `shutdown`. Error codes are enumerated by [`ErrorCode`].
 
+use crate::memo::InstanceMemo;
+use repliflow_core::fingerprint::Fingerprinter;
 use repliflow_core::instance::ProblemInstance;
 use repliflow_multicrit::{FrontEnginePref, FrontReport};
 use repliflow_solver::{EnginePref, Quality, SolveError, SolveReport};
@@ -61,6 +63,7 @@ use serde::DeserializeStream;
 use serde::Value;
 use serde_json::parse_value;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: i128 = 1;
@@ -148,11 +151,13 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// The solve-specific body of a request.
+/// The solve-specific body of a request. `I` is how the parse left the
+/// instance: [`parse_request`] decodes it, the daemon's memo-aware scan
+/// may leave it as the walk the memo remembered.
 #[derive(Clone, Debug)]
-pub struct SolveBody {
+pub struct SolveBody<I = ProblemInstance> {
     /// The instance, exactly as the `solve` CLI accepts it.
-    pub instance: ProblemInstance,
+    pub instance: I,
     /// Engine routing preference (default `auto`).
     pub engine: EnginePref,
     /// Heuristic effort tier (default `balanced`), applied on top of
@@ -185,19 +190,19 @@ pub struct ParetoBody {
 
 /// A parsed request line.
 #[derive(Clone, Debug)]
-pub struct WireRequest {
+pub struct WireRequest<I = ProblemInstance> {
     /// The client-chosen request id (string or integer), echoed on the
     /// response.
     pub id: Value,
     /// What to do.
-    pub verb: Verb,
+    pub verb: Verb<I>,
 }
 
 /// The request verb.
 #[derive(Clone, Debug)]
-pub enum Verb {
+pub enum Verb<I = ProblemInstance> {
     /// Solve one instance.
-    Solve(Box<SolveBody>),
+    Solve(Box<SolveBody<I>>),
     /// Trace one instance's (period, latency) Pareto front.
     Pareto(Box<ParetoBody>),
     /// Return the metrics snapshot.
@@ -246,17 +251,34 @@ enum Field {
 }
 
 /// What the single scan of a request object found.
-struct Scan<'a> {
+struct Scan<'a, I> {
     /// The top-level fields, in line order.
     fields: Vec<(Cow<'a, str>, Field)>,
-    /// The first `instance` value, decoded during the scan, or its
-    /// decode error (reported only once every earlier check passed).
-    instance: Option<Result<ProblemInstance, String>>,
+    /// The first `instance` value as the instance reader left it, or
+    /// its decode error (reported only once every earlier check passed).
+    instance: Option<Result<I, String>>,
+}
+
+/// The first `name` field among `fields` that holds a value.
+fn first_field<'f>(fields: &'f [(Cow<'_, str>, Field)], name: &str) -> Option<&'f Value> {
+    fields.iter().find_map(|(key, field)| match field {
+        Field::Value(value) if key == name => Some(value),
+        _ => None,
+    })
 }
 
 /// Scans a request line once: its top-level fields, or `None` when the
-/// line is well-formed JSON but not an object.
-fn scan_fields(line: &str) -> Result<Option<Scan<'_>>, serde::de::Error> {
+/// line is well-formed JSON but not an object. The first `instance`
+/// value is handed to `read_instance` with the cursor on it, together
+/// with whether the line can still be a `solve` (no earlier `verb`
+/// names another); the reader must leave the cursor past the value.
+fn scan_fields<'a, I>(
+    line: &'a str,
+    mut read_instance: impl FnMut(
+        &mut JsonParser<'a>,
+        bool,
+    ) -> Result<Result<I, String>, serde::de::Error>,
+) -> Result<Option<Scan<'a, I>>, serde::de::Error> {
     let mut parser = JsonParser::new(line);
     if parser.peek() != Some(b'{') {
         parser.skip_value()?;
@@ -278,7 +300,9 @@ fn scan_fields(line: &str) -> Result<Option<Scan<'_>>, serde::de::Error> {
             parser.skip_value()?;
             Field::Instance
         } else {
-            scan.instance = Some(decode_instance(line, &mut parser)?);
+            let solve =
+                first_field(&scan.fields, "verb").is_none_or(|v| v.as_str() == Some("solve"));
+            scan.instance = Some(read_instance(&mut parser, solve)?);
             Field::Instance
         };
         scan.fields.push((key, field));
@@ -302,10 +326,9 @@ fn decode_instance(
     let rest = line.get(start..).ok_or_else(|| {
         serde::de::Error::custom("instance does not start on a character boundary")
     })?;
-    let mut inner = JsonParser::new(rest);
-    match ProblemInstance::deserialize_stream(&mut inner) {
-        Ok(instance) => {
-            parser.seek(start + inner.position());
+    match decode_from(rest) {
+        Ok((instance, len)) => {
+            parser.seek(start + len);
             Ok(Ok(instance))
         }
         Err(e) => {
@@ -313,6 +336,93 @@ fn decode_instance(
             Ok(Err(e.to_string()))
         }
     }
+}
+
+/// Decodes the instance value at the start of `text`: the instance and
+/// the bytes its value took.
+fn decode_from(text: &str) -> Result<(ProblemInstance, usize), serde::de::Error> {
+    let mut parser = JsonParser::new(text);
+    let instance = ProblemInstance::deserialize_stream(&mut parser)?;
+    Ok((instance, parser.position()))
+}
+
+/// The `instance` of a request as the daemon's memo-aware scan
+/// ([`parse_request_memo`]) left it.
+#[derive(Clone, Debug)]
+#[allow(clippy::large_enum_variant)] // it travels inside the boxed `SolveBody`
+pub(crate) enum ScannedInstance {
+    /// Decoded from the line. `walk` is its canonical walk when the
+    /// memo took the span in.
+    Decoded {
+        instance: ProblemInstance,
+        walk: Option<Fingerprinter>,
+    },
+    /// The memo knew the bytes at `span` (offsets into the line): the
+    /// walk of the instance they decode to. They are decoded again only
+    /// when the instance itself is needed.
+    Memoized {
+        walk: Fingerprinter,
+        span: Range<usize>,
+    },
+}
+
+impl ScannedInstance {
+    /// The instance's canonical walk, when the memo gave or took one.
+    pub(crate) fn walk(&self) -> Option<Fingerprinter> {
+        match self {
+            ScannedInstance::Decoded { walk, .. } => *walk,
+            ScannedInstance::Memoized { walk, .. } => Some(*walk),
+        }
+    }
+
+    /// The instance itself, decoding a memoized span of `line` again.
+    /// The error is the `invalid instance` message the scan gives.
+    pub(crate) fn into_instance(self, line: &str) -> Result<ProblemInstance, String> {
+        match self {
+            ScannedInstance::Decoded { instance, .. } => Ok(instance),
+            ScannedInstance::Memoized { span, .. } => line
+                .get(span)
+                .ok_or_else(|| "span is not on character boundaries".to_string())
+                .and_then(|text| decode_from(text).map_err(|e| e.to_string()))
+                .map(|(instance, _)| instance)
+                .map_err(|e| format!("invalid instance: {e}")),
+        }
+    }
+}
+
+/// The memo-aware `instance` reader of a line that can still be a
+/// `solve`: it skims and digests the value, and on a memo hit moves
+/// past it without decoding. Otherwise it decodes; when the decode
+/// succeeds and ends where the skim ended, the memo takes the span's
+/// digest in with the instance's walk.
+fn memo_instance(
+    line: &str,
+    parser: &mut JsonParser<'_>,
+    memo: &InstanceMemo,
+) -> Result<Result<ScannedInstance, String>, serde::de::Error> {
+    parser.peek();
+    let start = parser.position();
+    let skim = memo.skim(line.as_bytes(), start);
+    if let Some((end, digest)) = skim {
+        if let Some(walk) = memo.get(digest) {
+            parser.seek(end);
+            return Ok(Ok(ScannedInstance::Memoized {
+                walk,
+                span: start..end,
+            }));
+        }
+    }
+    Ok(decode_instance(line, parser)?.map(|instance| {
+        let walk = skim
+            .filter(|&(end, _)| end == parser.position())
+            .map(|(_, digest)| {
+                let mut walk = Fingerprinter::new();
+                walk.write_instance(&instance);
+                memo.insert(digest, walk);
+                walk
+            });
+        ScannedInstance::Decoded { instance, walk }
+    }))
 }
 
 /// Parses one request line. On failure the returned [`ParseFailure`]
@@ -326,7 +436,44 @@ fn decode_instance(
 /// unknown fields, then the instance and the remaining fields — so each
 /// error envelope is the same whatever the field order on the line.
 pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
-    let Scan { fields, instance } = match scan_fields(line) {
+    scan_request(line, |parser, _| decode_instance(line, parser), Ok)
+}
+
+/// [`parse_request`] as the daemon runs it, with its instance memo when
+/// it has one: a `solve` line whose `instance` bytes the memo knows
+/// leaves the instance [`ScannedInstance::Memoized`], undecoded. Every
+/// check runs in the same order on the same fields, and a memoized span
+/// is one the decoder accepted, so each line gets the same request or
+/// the same error envelope as from [`parse_request`].
+pub(crate) fn parse_request_memo(
+    line: &str,
+    memo: Option<&InstanceMemo>,
+) -> Result<WireRequest<ScannedInstance>, ParseFailure> {
+    scan_request(
+        line,
+        |parser, solve| match memo.filter(|_| solve) {
+            Some(memo) => memo_instance(line, parser, memo),
+            None => Ok(
+                decode_instance(line, parser)?.map(|instance| ScannedInstance::Decoded {
+                    instance,
+                    walk: None,
+                }),
+            ),
+        },
+        |scanned| scanned.into_instance(line),
+    )
+}
+
+/// The one request scanner behind [`parse_request`] and
+/// [`parse_request_memo`]: `read_instance` reads the first `instance`
+/// value during the scan (see [`scan_fields`]), and `front_instance`
+/// turns what it read into the instance a `pareto` request needs.
+fn scan_request<'a, I>(
+    line: &'a str,
+    read_instance: impl FnMut(&mut JsonParser<'a>, bool) -> Result<Result<I, String>, serde::de::Error>,
+    front_instance: impl FnOnce(I) -> Result<ProblemInstance, String>,
+) -> Result<WireRequest<I>, ParseFailure> {
+    let Scan { fields, instance } = match scan_fields(line, read_instance) {
         Ok(Some(scan)) => scan,
         Ok(None) => {
             return Err(ParseFailure::new(
@@ -344,12 +491,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
         }
     };
     // Duplicate keys: the first occurrence wins, as in a tree lookup.
-    let field = |name: &str| {
-        fields.iter().find_map(|(key, field)| match field {
-            Field::Value(value) if key == name => Some(value),
-            _ => None,
-        })
-    };
+    let field = |name: &str| first_field(&fields, name);
     // Best-effort id for error envelopes from here on.
     let id = match field("id") {
         Some(v) if valid_id(v) => v.clone(),
@@ -425,7 +567,9 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
         "ping" => Verb::Ping,
         "shutdown" => Verb::Shutdown,
         "pareto" => {
-            let instance = instance_of(instance, verb).map_err(bad)?;
+            let instance = instance_of(instance, verb)
+                .and_then(front_instance)
+                .map_err(bad)?;
             let engine = match field("engine") {
                 None => FrontEnginePref::Auto,
                 Some(v) => v.as_str().and_then(FrontEnginePref::parse).ok_or_else(|| {
@@ -489,11 +633,8 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ParseFailure> {
 }
 
 /// The `instance` value of a `solve` or `pareto` request, as the scan
-/// decoded it.
-fn instance_of(
-    decoded: Option<Result<ProblemInstance, String>>,
-    verb: &str,
-) -> Result<ProblemInstance, String> {
+/// read it.
+fn instance_of<I>(decoded: Option<Result<I, String>>, verb: &str) -> Result<I, String> {
     decoded
         .ok_or_else(|| format!("verb `{verb}` requires an `instance` object"))?
         .map_err(|e| format!("invalid instance: {e}"))
@@ -886,6 +1027,91 @@ mod tests {
             parse_request(r#"{"v":1,"id":"x","verb":"solve","instance":{"nope":1}}"#).unwrap_err();
         assert_eq!(failure.code, ErrorCode::BadRequest);
         assert!(failure.message.contains("invalid instance"));
+    }
+
+    /// A memo-aware parse settled to the request `parse_request` gives
+    /// (a memoized instance decoded again), as comparable text.
+    fn settled(line: &str, memo: &InstanceMemo) -> Result<String, (ErrorCode, Value, String)> {
+        let WireRequest { id, verb } =
+            parse_request_memo(line, Some(memo)).map_err(|f| (f.code, f.id, f.message))?;
+        let verb = match verb {
+            Verb::Solve(body) => {
+                let SolveBody {
+                    instance,
+                    engine,
+                    quality,
+                    validate,
+                    deadline_ms,
+                } = *body;
+                Verb::Solve(Box::new(SolveBody {
+                    instance: instance
+                        .into_instance(line)
+                        .expect("a memoized span decodes"),
+                    engine,
+                    quality,
+                    validate,
+                    deadline_ms,
+                }))
+            }
+            Verb::Pareto(body) => Verb::Pareto(body),
+            Verb::Stats => Verb::Stats,
+            Verb::Ping => Verb::Ping,
+            Verb::Shutdown => Verb::Shutdown,
+        };
+        Ok(format!("{:?}", WireRequest { id, verb }))
+    }
+
+    fn plain(line: &str) -> Result<String, (ErrorCode, Value, String)> {
+        parse_request(line)
+            .map(|request| format!("{request:?}"))
+            .map_err(|f| (f.code, f.id, f.message))
+    }
+
+    #[test]
+    fn a_warm_memo_changes_no_request_and_no_error() {
+        let x = instance_json()
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
+        let edited = x.replacen("14", "15", 1);
+        let invalid = x.replacen("[0,0,0,0,0]", "[0]", 1);
+        let lines = [
+            format!(r#"{{"v":1,"id":"a","verb":"solve","instance":{x}}}"#),
+            format!(r#"{{"instance":{x},"v":1,"id":2,"verb":"solve","quality":"fast"}}"#),
+            format!(r#"{{"instance":{x},"v":1,"id":3}}"#),
+            format!(r#"{{"v":1,"id":4,"verb":"solve","instance":{edited}}}"#),
+            format!(r#"{{"v":1,"id":5,"verb":"solve","instance":{invalid}}}"#),
+            format!(r#"{{"instance":{x},"v":1,"id":6,"verb":"pareto","points":2}}"#),
+            format!(r#"{{"v":1,"id":7,"verb":"pareto","instance":{x},"points":0}}"#),
+            format!(r#"{{"v":2,"id":8,"verb":"solve","instance":{x}}}"#),
+            format!(r#"{{"v":1,"id":9.5,"verb":"solve","instance":{x}}}"#),
+            format!(r#"{{"v":1,"id":10,"verb":"solv","instance":{x}}}"#),
+            format!(r#"{{"v":1,"id":11,"verb":"solve","instance":{x},"dedline_ms":5}}"#),
+            format!(r#"{{"v":1,"id":12,"verb":"solve","instance":{x},"engine":"best"}}"#),
+            format!(r#"{{"v":1,"id":13,"verb":"solve","instance":{x},"quality":"max"}}"#),
+            format!(r#"{{"v":1,"id":14,"verb":"solve","instance":{x},"validate":1}}"#),
+            format!(r#"{{"v":1,"id":15,"verb":"solve","instance":{x},"deadline_ms":-1}}"#),
+            format!(r#"{{"v":1,"id":16,"verb":"solve","instance":{x},"points":3}}"#),
+            format!(r#"{{"v":1,"id":17,"verb":"ping","instance":{x}}}"#),
+            format!(r#"{{"v":1,"id":18,"verb":"solve","instance":{x}}} x"#),
+            format!(r#"{{"v":1,"id":19,"verb":"solve","instance":{x},"engine":"#),
+            format!(r#"{{"v":1,"id":20,"verb":"solve","instance":{x},"instance":{{"nope":1}}}}"#),
+            format!(r#"{{"v":1,"id":21,"verb":"solve","instance":{{"nope":1}},"instance":{x}}}"#),
+            format!(r#"{{"v":1,"id":22,"verb":"solve","instance":{x},"instance":{{}}"#),
+            format!(r#"{{"v":1,"id":23,"verb":"solve","instance":{invalid},"instance":{x}}}"#),
+            format!(r#"[{x}]"#),
+        ];
+        let memo = InstanceMemo::new(64, 4);
+        // the first pass fills the memo, the second is served from it
+        for pass in 0..2 {
+            for line in &lines {
+                assert_eq!(settled(line, &memo), plain(line), "pass {pass}: {line}");
+            }
+        }
+        let counts = memo.stats();
+        assert!(counts.hits >= 10, "{counts:?}");
+        // `x` and the edit entered the memo; the invalid instance never did
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! * a **reader** (the connection thread): parses bounded request
 //!   lines and answers everything that needs no engine compute itself
 //!   — admin verbs, malformed lines, drain refusals, sheds
-//!   (`overloaded`) and, through [`SolverService::solve_detached`],
-//!   cache hits and fail-fast errors of admitted `solve` requests. A
-//!   cache miss is queued on the service pool;
+//!   (`overloaded`), and cache hits and fail-fast errors of admitted
+//!   `solve` requests. A cache miss is queued on the service pool;
 //! * a **writer**: the only thread that writes to the socket. It
 //!   serializes responses from an unbounded mpsc channel, one JSON line
 //!   each. The reader, pool workers and front threads only queue, so
@@ -24,10 +23,27 @@
 //! solves, and a hit or a fast solve overtakes a slow sibling.
 //!
 //! Engine compute never runs on connection threads: connections stay
-//! cheap (two mostly-parked threads), and total solve concurrency is
-//! bounded by the service pool regardless of the connection count. A
-//! hit costs the reader a parse, a fingerprint and a cache lookup,
-//! which is cheaper than the pool round trip it skips.
+//! cheap (two mostly-parked threads), and `solve` compute is bounded by
+//! the service pool regardless of the connection count. A `pareto`
+//! front computes on a thread of its own, which admission bounds in
+//! number but not the pool.
+//!
+//! ## Warm hits
+//!
+//! The daemon-wide instance memo (`memo.rs`, held in the server's
+//! shared state) recognizes a `solve` line's `instance` by its raw
+//! bytes. The request scan skims the value once, digesting it as it
+//! goes; on a memo hit the reader finishes the request fingerprint from
+//! the remembered instance walk ([`request_fingerprint`]) and asks the
+//! cache with [`SolverService::lookup_keyed`]. A repeated hit thus
+//! costs a skim, a digest and a lookup: no decode, no fingerprint, no
+//! pool round trip. A memo miss, or a memo hit whose lookup misses,
+//! decodes the instance as before ([`SolverService::solve_detached`] or
+//! [`SolverService::compute_detached`]), and each successful decode
+//! enters the memo. The memo holds at most the solve cache's entry
+//! capacity and no raw bytes; two distinct instances within the line
+//! cap collide with probability below 2^-87 under evaluation points
+//! drawn per process (`memo.rs` gives the argument).
 //!
 //! ## Lifecycle
 //!
@@ -51,13 +67,17 @@
 
 use crate::admission::{Admission, AdmissionConfig, Ticket};
 use crate::framing::{Frame, LineBuffer};
+use crate::memo::InstanceMemo;
 use crate::protocol::{
-    err_response, front_ok_response, ok_response, parse_request, report_ok_response, ErrorCode,
-    Verb, DEFAULT_MAX_LINE_BYTES,
+    err_response, front_ok_response, ok_response, parse_request_memo, report_ok_response,
+    ErrorCode, ScannedInstance, SolveBody, Verb, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::{metrics, signal};
 use repliflow_multicrit::{FrontRequest, FrontSolver};
-use repliflow_solver::{Budget, Deadline, SolveError, SolveReport, SolveRequest, SolverService};
+use repliflow_solver::{
+    request_fingerprint, Budget, Deadline, Lookup, SolveError, SolveReport, SolveRequest,
+    SolverService,
+};
 use repliflow_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use repliflow_sync::sync::{mpsc, Arc};
 use repliflow_sync::thread::JoinHandle;
@@ -145,6 +165,9 @@ pub(crate) struct ServerShared {
     pub(crate) connections_open: AtomicUsize,
     max_line_bytes: usize,
     default_budget: Budget,
+    /// The instance memo (see [`crate::memo`]), capped at the solve
+    /// cache's entry capacity; `None` when the daemon runs cacheless.
+    pub(crate) memo: Option<InstanceMemo>,
 }
 
 impl ServerShared {
@@ -236,6 +259,8 @@ impl Server {
                 connections_open: AtomicUsize::new(0),
                 max_line_bytes: config.max_line_bytes,
                 default_budget: config.default_budget,
+                memo: (config.cache_capacity > 0)
+                    .then(|| InstanceMemo::new(config.cache_capacity, config.cache_shards)),
             }),
         })
     }
@@ -510,7 +535,7 @@ fn handle_line(
     conn_inflight: &Arc<AtomicUsize>,
     tx: &mpsc::Sender<String>,
 ) {
-    let request = match parse_request(line) {
+    let request = match parse_request_memo(line, shared.memo.as_ref()) {
         Ok(request) => request,
         Err(failure) => {
             let _ = tx.send(err_response(&failure.id, failure.code, &failure.message));
@@ -537,38 +562,7 @@ fn handle_line(
             ));
             shared.request_drain();
         }
-        Verb::Solve(body) => {
-            let ticket = match admit(shared, conn_inflight, &id) {
-                Ok(ticket) => ticket,
-                Err(refusal) => {
-                    let _ = tx.send(refusal);
-                    return;
-                }
-            };
-            let mut solve = SolveRequest::new(body.instance)
-                .engine(body.engine)
-                .budget(shared.default_budget.quality(body.quality))
-                .validate_witness(body.validate);
-            if let Some(ms) = body.deadline_ms {
-                solve = solve.deadline(Deadline::in_ms(ms));
-            }
-            let pool_tx = tx.clone();
-            let pool_id = id.clone();
-            let inline = service.solve_detached(solve, move |result| {
-                let response = solve_response(&pool_id, result);
-                // Release the slot before queuing the response: a
-                // client that has read its answer must already see the
-                // request as completed (e.g. in a follow-up `stats`).
-                drop(ticket);
-                let _ = pool_tx.send(response);
-            });
-            // An inline answer dropped the callback, and the ticket in
-            // it, before `solve_detached` returned: released before
-            // answered here too.
-            if let Some(result) = inline {
-                let _ = tx.send(solve_response(&id, result));
-            }
-        }
+        Verb::Solve(body) => handle_solve(line, id, *body, service, shared, conn_inflight, tx),
         Verb::Pareto(body) => {
             let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
@@ -588,11 +582,13 @@ fn handle_line(
             let front = Arc::clone(front);
             let front_tx = tx.clone();
             let front_id = id.clone();
-            // A front solve is a *sequence* of pool solves; running it
+            // A front solve is a *sequence* of inner solves; running it
             // on the connection thread would stall pipelined siblings
-            // behind the whole sweep, so it gets its own orchestration
-            // thread (the compute still runs on the shared pool, which
-            // bounds total solve concurrency).
+            // behind the whole sweep, so it gets its own thread. The
+            // inner solves (`FrontSolver::inner_solve` calls
+            // `SolverService::solve`) run on that thread, not on the
+            // shared pool: admission bounds how many fronts are in
+            // flight, but nothing bounds how many compute at once.
             let spawned = repliflow_sync::thread::Builder::new()
                 .name("repliflow-serve-front".into())
                 .spawn(move || {
@@ -615,6 +611,90 @@ fn handle_line(
                     ErrorCode::Overloaded,
                     "cannot spawn a front orchestration thread; retry later",
                 ));
+            }
+        }
+    }
+}
+
+/// Admits and answers one `solve`. A shed, a cache hit or a fail-fast
+/// error is answered here, on the connection thread; a miss computes on
+/// the service pool. When the instance has a memo walk, the request key
+/// is finished from it and looked up before anything is decoded: a warm
+/// hit costs the skim, the digest and the lookup. Otherwise the request
+/// fingerprints its decoded instance, as without a memo.
+fn handle_solve(
+    line: &str,
+    id: Value,
+    body: SolveBody<ScannedInstance>,
+    service: &Arc<SolverService>,
+    shared: &Arc<ServerShared>,
+    conn_inflight: &Arc<AtomicUsize>,
+    tx: &mpsc::Sender<String>,
+) {
+    let ticket = match admit(shared, conn_inflight, &id) {
+        Ok(ticket) => ticket,
+        Err(refusal) => {
+            let _ = tx.send(refusal);
+            return;
+        }
+    };
+    let SolveBody {
+        instance,
+        engine,
+        quality,
+        validate,
+        deadline_ms,
+    } = body;
+    let budget = shared.default_budget.quality(quality);
+    let deadline = deadline_ms.map(Deadline::in_ms);
+    let pool_tx = tx.clone();
+    let pool_id = id.clone();
+    let on_done = move |result| {
+        let response = solve_response(&pool_id, result);
+        // Release the slot before queuing the response: a client that
+        // has read its answer must already see the request as completed
+        // (e.g. in a follow-up `stats`).
+        drop(ticket);
+        let _ = pool_tx.send(response);
+    };
+    // Every inline answer below drops `on_done`, and the ticket in it,
+    // before it is queued: released before answered here too.
+    let miss = match instance.walk() {
+        Some(walk) => {
+            let key = request_fingerprint(walk, engine, &budget, validate);
+            match service.lookup_keyed(key, &budget, deadline, None) {
+                Lookup::Answered(result) => {
+                    drop(on_done);
+                    let _ = tx.send(solve_response(&id, result));
+                    return;
+                }
+                Lookup::Miss(miss) => Some(miss),
+            }
+        }
+        None => None,
+    };
+    let instance = match instance.into_instance(line) {
+        Ok(instance) => instance,
+        // A memoized span decodes as it did when it entered the memo;
+        // only a digest collision gets here.
+        Err(message) => {
+            drop(on_done);
+            let _ = tx.send(err_response(&id, ErrorCode::BadRequest, &message));
+            return;
+        }
+    };
+    let request = SolveRequest {
+        deadline,
+        ..SolveRequest::new(instance)
+            .engine(engine)
+            .budget(budget)
+            .validate_witness(validate)
+    };
+    match miss {
+        Some(miss) => service.compute_detached(request, miss, on_done),
+        None => {
+            if let Some(result) = service.solve_detached(request, on_done) {
+                let _ = tx.send(solve_response(&id, result));
             }
         }
     }

@@ -6,9 +6,9 @@
 
 use repliflow_serve::server::{Server, ServerConfig, ServerHandle};
 use repliflow_serve::{AdmissionConfig, ErrorCode, RemoteClient, RemoteError, RemoteSolveOptions};
-use repliflow_solver::{Budget, EnginePref, SolveRequest, SolverService};
+use repliflow_solver::{Budget, EnginePref, Quality, SolveRequest, SolverService};
 use repliflow_sync::thread::JoinHandle;
-use serde::Value;
+use serde::{Serialize, Value};
 use serde_json::parse_value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -164,12 +164,19 @@ fn pareto_roundtrips_are_byte_identical_to_in_process_fronts() {
     };
     for path in golden_instances() {
         let instance = load_instance(&path);
-        let local = front
-            .solve_front(&FrontRequest::new(instance.clone()).budget(budget))
-            .unwrap_or_else(|e| panic!("local front of {path:?} failed: {e}"));
-        let remote = client
-            .pareto(&instance, &options)
-            .unwrap_or_else(|e| panic!("remote front of {path:?} failed: {e}"));
+        // The in-process reference front computes on its own thread
+        // while the daemon answers the same request.
+        let (local, remote) = repliflow_sync::thread::scope(|scope| {
+            let local = scope.spawn(|| {
+                front
+                    .solve_front(&FrontRequest::new(instance.clone()).budget(budget))
+                    .unwrap_or_else(|e| panic!("local front of {path:?} failed: {e}"))
+            });
+            let remote = client
+                .pareto(&instance, &options)
+                .unwrap_or_else(|e| panic!("remote front of {path:?} failed: {e}"));
+            (local.join().expect("local front thread"), remote)
+        });
         assert_eq!(
             remote.canonical_json(),
             local.canonical_json(),
@@ -835,6 +842,207 @@ fn a_batch_pipelined_before_any_read_is_answered_in_full() {
         .and_then(|s| s.field("cache_hits"))
         .and_then(Value::as_int);
     assert_eq!(cache_hits, Some(BATCH as i128));
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// Sends one request line on `stream` and reads its answer, as sent.
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    stream.write_all(line.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let mut answer = String::new();
+    assert!(
+        reader.read_line(&mut answer).expect("response read") > 0,
+        "daemon hung up"
+    );
+    answer.trim_end().to_string()
+}
+
+/// A connection for [`exchange`].
+fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream.set_nodelay(true).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// The canonical JSON of an ok solve answer, and whether it was a hit.
+fn canonical_of(answer: &str) -> (String, bool) {
+    let response = parse_value(answer).expect("response parses");
+    let ok = response
+        .field("ok")
+        .unwrap_or_else(|| panic!("not an ok answer: {}", &answer[..answer.len().min(300)]));
+    let canonical = serde_json::to_string(ok.field("canonical").expect("canonical")).unwrap();
+    let cached = ok.field("provenance").and_then(Value::as_str) == Some("cached");
+    (canonical, cached)
+}
+
+/// The in-process canonical answer for `instance` JSON under `quality`.
+fn local_canonical(service: &SolverService, instance: &str, quality: Quality) -> String {
+    let instance = serde_json::from_str(instance).expect("instance parses");
+    let request = SolveRequest::new(instance).budget(Budget::default().quality(quality));
+    service
+        .solve(&request)
+        .expect("in-process solve")
+        .canonical_json()
+}
+
+/// A named counter of the daemon's `stats` answer.
+fn stat(stats: &Value, section: &str, name: &str) -> Option<i128> {
+    stats.field(section)?.field(name)?.as_int()
+}
+
+#[test]
+fn repeated_large_solves_are_answered_from_the_instance_memo() {
+    let (addr, handle, join) = start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let service = SolverService::builder().workers(1).build();
+    let instance = long_pipeline_json(20_000);
+    let balanced = local_canonical(&service, &instance, Quality::Balanced);
+    let fast = local_canonical(&service, &instance, Quality::Fast);
+    let (mut stream, mut reader) = connect(addr);
+    let mut solve = |id: &str, knobs: &str| {
+        let line = format!(r#"{{"v":1,"id":"{id}","verb":"solve","instance":{instance}{knobs}}}"#);
+        canonical_of(&exchange(&mut stream, &mut reader, &line))
+    };
+    // the cold solve decodes; the same bytes under another id hit
+    assert_eq!(solve("one", ""), (balanced.clone(), false));
+    assert_eq!(solve("two", ""), (balanced, true));
+    // other knobs: the memo still knows the instance, but the knobs
+    // make another cache entry
+    assert_eq!(
+        solve("three", r#","quality":"fast""#),
+        (fast.clone(), false)
+    );
+    assert_eq!(solve("four", r#","quality":"fast""#), (fast, true));
+
+    let stats = RemoteClient::connect(addr).unwrap().stats().expect("stats");
+    assert_eq!(stat(&stats, "instance_memo", "hits"), Some(3));
+    assert_eq!(stat(&stats, "instance_memo", "misses"), Some(1));
+    assert_eq!(stat(&stats, "instance_memo", "entries"), Some(1));
+    assert_eq!(
+        stat(&stats, "instance_memo", "capacity"),
+        Some(repliflow_solver::DEFAULT_CACHE_CAPACITY as i128)
+    );
+    // each request counted once by the service and once by the cache
+    assert_eq!(stat(&stats, "service", "requests"), Some(4));
+    assert_eq!(stat(&stats, "service", "cache_hits"), Some(2));
+    assert_eq!(stat(&stats, "service", "computed"), Some(2));
+    assert_eq!(stat(&stats, "cache", "hits"), Some(2));
+    assert_eq!(stat(&stats, "cache", "misses"), Some(2));
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn the_instance_memo_never_changes_an_answer_or_an_error() {
+    use repliflow_serve::protocol::{err_response, parse_request};
+    let (addr, handle, join) = start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let service = SolverService::builder().workers(1).build();
+    let x = long_pipeline_json(3_000);
+    // a one-byte edit inside a weight
+    let at = x.find("[").unwrap() + 1;
+    let mut edited = x.clone().into_bytes();
+    edited[at] = if edited[at] == b'9' { b'8' } else { b'9' };
+    let edited = String::from_utf8(edited).unwrap();
+    // the same instance, reordered and re-spaced
+    let reordered = serde_json::to_string(&repliflow_core::instance::ProblemInstance::serialize(
+        &serde_json::from_str(&x).unwrap(),
+    ))
+    .unwrap()
+    .replacen(':', ": ", 3);
+    assert_ne!(reordered, x);
+    let x_answer = local_canonical(&service, &x, Quality::Balanced);
+    let edited_answer = local_canonical(&service, &edited, Quality::Balanced);
+    assert_ne!(x_answer, edited_answer);
+    let (mut stream, mut reader) = connect(addr);
+    let mut send = |line: String| exchange(&mut stream, &mut reader, &line);
+    let solve = |id: u32, instance: &str| {
+        format!(r#"{{"v":1,"id":{id},"verb":"solve","instance":{instance}}}"#)
+    };
+    let memo_counts = || {
+        let stats = RemoteClient::connect(addr).unwrap().stats().expect("stats");
+        (
+            stat(&stats, "instance_memo", "hits").unwrap(),
+            stat(&stats, "instance_memo", "entries").unwrap(),
+            stat(&stats, "service", "cache_hits").unwrap(),
+        )
+    };
+    assert_eq!(canonical_of(&send(solve(1, &x))), (x_answer.clone(), false));
+    assert_eq!(memo_counts(), (0, 1, 0));
+
+    // a one-byte edit misses the memo and gets its own answer
+    assert_eq!(
+        canonical_of(&send(solve(2, &edited))),
+        (edited_answer.clone(), false)
+    );
+    assert_eq!(memo_counts(), (0, 2, 0));
+
+    // reordered JSON misses the memo but hits the solve cache
+    assert_eq!(
+        canonical_of(&send(solve(3, &reordered))),
+        (x_answer.clone(), true)
+    );
+    assert_eq!(memo_counts(), (0, 3, 1));
+
+    // duplicate `instance` keys: the first wins, memo hit or not
+    let twice = |id: u32, first: &str, second: &str| {
+        format!(r#"{{"v":1,"id":{id},"verb":"solve","instance":{first},"instance":{second}}}"#)
+    };
+    assert_eq!(
+        canonical_of(&send(twice(4, &x, &edited))),
+        (x_answer.clone(), true)
+    );
+    assert_eq!(
+        canonical_of(&send(twice(5, &edited, &x))),
+        (edited_answer, true)
+    );
+    assert_eq!(memo_counts(), (2, 3, 3));
+
+    // an invalid instance never enters the memo, and every bad line
+    // gets the envelope the plain parse gives, warm memo or not
+    let invalid = x.replacen("\"data_sizes\":[", "\"data_sizes\":[1,", 1);
+    let bad_lines = [
+        solve(6, &invalid),
+        solve(7, &invalid),
+        format!(r#"{{"v":2,"id":8,"verb":"solve","instance":{x}}}"#),
+        format!(r#"{{"v":1,"verb":"solve","instance":{x}}}"#),
+        format!(r#"{{"v":1,"id":9,"verb":"solv","instance":{x}}}"#),
+        format!(r#"{{"v":1,"id":10,"verb":"solve","instance":{x},"bogus":1}}"#),
+        format!(r#"{{"v":1,"id":11,"verb":"solve","instance":{x},"engine":"best"}}"#),
+        format!(r#"{{"v":1,"id":12,"verb":"solve","instance":{x},"quality":"max"}}"#),
+        format!(r#"{{"v":1,"id":13,"verb":"solve","instance":{x},"validate":"yes"}}"#),
+        format!(r#"{{"v":1,"id":14,"verb":"solve","instance":{x},"deadline_ms":-5}}"#),
+        format!(r#"{{"v":1,"id":15,"verb":"solve","instance":{x},"points":2}}"#),
+        format!(r#"{{"v":1,"id":16,"verb":"stats","instance":{x}}}"#),
+        format!(r#"{{"v":1,"id":17,"verb":"solve","instance":{x}}}]"#),
+        format!(r#"{{"v":1,"id":18,"verb":"solve","instance":{x},"engine":"#),
+        format!(r#"{{"v":1,"id":19,"verb":"solve","instance":{x},"instance":{{"#),
+        twice(20, &invalid, &x),
+        format!(r#"{{"v":1,"id":21,"verb":"pareto","instance":{x},"points":0}}"#),
+    ];
+    for line in &bad_lines {
+        let failure = parse_request(line).expect_err("a bad line");
+        let expected = err_response(&failure.id, failure.code, &failure.message);
+        assert_eq!(
+            send(line.clone()),
+            expected,
+            "{}",
+            &line[..line.len().min(120)]
+        );
+    }
+    let (hits, entries, _) = memo_counts();
+    assert_eq!(entries, 3, "an invalid instance entered the memo");
+    assert!(hits > 2, "the bad lines around `x` went unmemoized");
+    // an expired deadline fails fast on a memo hit as on a decode
+    let expired = format!(r#"{{"v":1,"id":22,"verb":"solve","instance":{x},"deadline_ms":0}}"#);
+    let answer = parse_value(&send(expired)).unwrap();
+    assert_eq!(err_code(&answer), Some("deadline_exceeded"));
     handle.shutdown();
     join.join().unwrap().unwrap();
 }

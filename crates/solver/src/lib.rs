@@ -74,10 +74,12 @@ pub use registry::EngineRegistry;
 pub use report::{
     CanonicalMemo, FallbackReason, Optimality, Provenance, SearchStats, SolveError, SolveReport,
 };
-pub use request::{Budget, CancelToken, Deadline, EnginePref, Quality, SolveRequest};
+pub use request::{
+    request_fingerprint, Budget, CancelToken, Deadline, EnginePref, Quality, SolveRequest,
+};
 pub use service::{
-    batch_threads, BatchOptions, EngineWall, EscalationStats, ServiceStats, SolveStream,
-    SolverBuilder, SolverService, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
+    batch_threads, BatchOptions, EngineWall, EscalationStats, Lookup, PendingSolve, ServiceStats,
+    SolveStream, SolverBuilder, SolverService, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
     DEFAULT_MAX_ESCALATIONS,
 };
 

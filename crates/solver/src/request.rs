@@ -490,18 +490,34 @@ impl SolveRequest {
     /// the right answer is, only how long we are willing to wait for
     /// it.
     pub fn fingerprint(&self) -> InstanceFingerprint {
-        let mut hasher = Fingerprinter::new();
-        hasher.write_instance(&self.instance);
-        hasher.write_tag(match self.engine {
-            EnginePref::Auto => 0,
-            EnginePref::Exact => 1,
-            EnginePref::Heuristic => 2,
-            EnginePref::Paper => 3,
-            EnginePref::CommBb => 4,
-            EnginePref::Hedged => 5,
-        });
-        self.budget.write_fingerprint(&mut hasher);
-        hasher.write_tag(self.validate_witness as u8);
-        hasher.finish()
+        let mut walk = Fingerprinter::new();
+        walk.write_instance(&self.instance);
+        request_fingerprint(walk, self.engine, &self.budget, self.validate_witness)
     }
+}
+
+/// Finishes a request fingerprint from `instance_walk`, a fresh
+/// [`Fingerprinter`] that has fed one instance's canonical walk
+/// ([`Fingerprinter::write_instance`]) and nothing else: the knob tail
+/// of [`SolveRequest::fingerprint`] — engine preference, full budget,
+/// witness-validation flag — in its fixed order. A caller that kept the
+/// walk (the daemon's instance memo) gets the cache key without the
+/// instance in hand.
+pub fn request_fingerprint(
+    mut instance_walk: Fingerprinter,
+    engine: EnginePref,
+    budget: &Budget,
+    validate_witness: bool,
+) -> InstanceFingerprint {
+    instance_walk.write_tag(match engine {
+        EnginePref::Auto => 0,
+        EnginePref::Exact => 1,
+        EnginePref::Heuristic => 2,
+        EnginePref::Paper => 3,
+        EnginePref::CommBb => 4,
+        EnginePref::Hedged => 5,
+    });
+    budget.write_fingerprint(&mut instance_walk);
+    instance_walk.write_tag(validate_witness as u8);
+    instance_walk.finish()
 }

@@ -261,13 +261,28 @@ struct ServiceCore {
     escalation: Option<EscalationState>,
 }
 
-/// What the lookup half of the serving path decided.
-enum Lookup {
-    /// Answered without compute: a cache hit or a fail-fast error.
+/// What the lookup half of the serving path decided (see
+/// [`SolverService::lookup_keyed`]).
+#[derive(Debug)]
+pub enum Lookup {
+    /// Answered without compute: a cache hit or a fail-fast error,
+    /// already counted in the service stats.
     Answered(Result<Arc<SolveReport>, SolveError>),
-    /// The registry must compute; carries the request fingerprint when
-    /// the service caches, so the write-back does not hash again.
-    Miss(Option<InstanceFingerprint>),
+    /// The registry must compute: hand the miss to
+    /// [`SolverService::compute_detached`] together with the request.
+    Miss(PendingSolve),
+}
+
+/// A request that missed the solve cache: its fingerprint (when the
+/// service caches, so the write-back does not hash again) and the
+/// instant its lookup started (its serve latency counts from there).
+/// [`SolverService::compute_detached`] counts the request once;
+/// dropping the miss counts nothing.
+#[derive(Debug)]
+#[must_use = "a miss is only answered once `compute_detached` runs it"]
+pub struct PendingSolve {
+    key: Option<InstanceFingerprint>,
+    start: Instant,
 }
 
 impl ServiceCore {
@@ -284,20 +299,35 @@ impl ServiceCore {
         key: Option<InstanceFingerprint>,
         start: Instant,
     ) -> Lookup {
-        // Fail fast (expired deadline / cancelled token) before touching
-        // the cache.
-        if let Err(e) = EngineRegistry::effective_budget(
+        self.lookup_parts(
             &request.budget,
             request.deadline,
             request.cancel.as_ref(),
-        ) {
+            || key.unwrap_or_else(|| request.fingerprint()),
+            start,
+        )
+    }
+
+    /// [`ServiceCore::lookup`] from a request's serving controls and a
+    /// fingerprint source, which only runs when the service caches.
+    fn lookup_parts(
+        &self,
+        budget: &Budget,
+        deadline: Option<Deadline>,
+        cancel: Option<&CancelToken>,
+        key: impl FnOnce() -> InstanceFingerprint,
+        start: Instant,
+    ) -> Lookup {
+        // Fail fast (expired deadline / cancelled token) before touching
+        // the cache.
+        if let Err(e) = EngineRegistry::effective_budget(budget, deadline, cancel) {
             self.note_served(start, |s| s.errors += 1);
             return Lookup::Answered(Err(e));
         }
         let Some(cache) = &self.cache else {
-            return Lookup::Miss(None);
+            return Lookup::Miss(PendingSolve { key: None, start });
         };
-        let key = key.unwrap_or_else(|| request.fingerprint());
+        let key = key();
         match cache.get(key) {
             // Entries are tagged at insertion time — `Cached` on
             // write-back, `Escalated` on an escalation refresh (so
@@ -308,7 +338,10 @@ impl ServiceCore {
                 self.note_served(start, |s| s.cache_hits += 1);
                 Lookup::Answered(Ok(report))
             }
-            None => Lookup::Miss(Some(key)),
+            None => Lookup::Miss(PendingSolve {
+                key: Some(key),
+                start,
+            }),
         }
     }
 
@@ -384,19 +417,15 @@ impl ServiceCore {
     }
 }
 
-/// Runs the lookup half with panics contained: a panic (say, in the
+/// Runs a lookup half with panics contained: a panic (say, in the
 /// fingerprint walk) becomes [`SolveError::EnginePanicked`] for *this*
 /// request, answered without compute.
 fn lookup_containing_panics(
     core: &ServiceCore,
-    request: &SolveRequest,
-    key: Option<InstanceFingerprint>,
     start: Instant,
+    lookup: impl FnOnce() -> Lookup,
 ) -> Lookup {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        core.lookup(request, key, start)
-    }))
-    .unwrap_or_else(|_| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(lookup)).unwrap_or_else(|_| {
         // the panic unwound before the lookup recorded stats
         core.note_served(start, |s| s.errors += 1);
         Lookup::Answered(Err(SolveError::EnginePanicked))
@@ -438,9 +467,11 @@ fn serve(
     key: Option<InstanceFingerprint>,
 ) -> Result<Arc<SolveReport>, SolveError> {
     let start = Instant::now();
-    match lookup_containing_panics(core, request, key, start) {
+    match lookup_containing_panics(core, start, || core.lookup(request, key, start)) {
         Lookup::Answered(result) => result,
-        Lookup::Miss(key) => compute_containing_panics(core, request, key, start),
+        Lookup::Miss(PendingSolve { key, start }) => {
+            compute_containing_panics(core, request, key, start)
+        }
     }
 }
 
@@ -941,7 +972,10 @@ impl SolverService {
     ///
     /// Either way the request is counted once and looked up in the
     /// cache once. The call never blocks on a compute (it may briefly
-    /// block starting the pool on the first miss).
+    /// block starting the pool on the first miss). It is
+    /// [`SolverService::lookup_keyed`] and
+    /// [`SolverService::compute_detached`] with the fingerprint taken
+    /// from the request.
     #[must_use = "a `Some` answer is the reply; `on_done` is not called for it"]
     pub fn solve_detached(
         &self,
@@ -949,19 +983,63 @@ impl SolverService {
         on_done: impl FnOnce(Result<Arc<SolveReport>, SolveError>) + Send + 'static,
     ) -> Option<Result<Arc<SolveReport>, SolveError>> {
         let start = Instant::now();
-        match lookup_containing_panics(&self.core, &request, None, start) {
+        match lookup_containing_panics(&self.core, start, || {
+            self.core.lookup(&request, None, start)
+        }) {
             Lookup::Answered(result) => {
                 drop(on_done);
                 Some(result)
             }
-            Lookup::Miss(key) => {
-                let core = Arc::clone(&self.core);
-                self.pool().submit(move || {
-                    on_done(compute_containing_panics(&core, &request, key, start));
-                });
+            Lookup::Miss(miss) => {
+                self.compute_detached(request, miss, on_done);
                 None
             }
         }
+    }
+
+    /// The lookup half of [`SolverService::solve_detached`] for a
+    /// request whose fingerprint `key` the caller already holds, without
+    /// the instance in hand: the deadline/cancel fail-fast on `budget`,
+    /// `deadline` and `cancel`, then the cache lookup. The daemon's
+    /// instance memo finishes a remembered instance walk into `key` with
+    /// [`request_fingerprint`](crate::request_fingerprint), so a warm
+    /// hit neither decodes nor fingerprints its instance.
+    ///
+    /// An [`Lookup::Answered`] outcome is counted here; a
+    /// [`Lookup::Miss`] counts once [`SolverService::compute_detached`]
+    /// runs it. `key` must be the fingerprint of the request later
+    /// computed under it, or the cache stores its answer under another
+    /// request's key.
+    pub fn lookup_keyed(
+        &self,
+        key: InstanceFingerprint,
+        budget: &Budget,
+        deadline: Option<Deadline>,
+        cancel: Option<&CancelToken>,
+    ) -> Lookup {
+        let start = Instant::now();
+        lookup_containing_panics(&self.core, start, || {
+            self.core
+                .lookup_parts(budget, deadline, cancel, || key, start)
+        })
+    }
+
+    /// The compute half of [`SolverService::solve_detached`]: queues
+    /// `request` on the service pool under the fingerprint its lookup
+    /// already took (no second cache lookup), and runs `on_done` with
+    /// the result on the worker that computed it. The request is counted
+    /// once in the service stats, its latency timed from its lookup.
+    pub fn compute_detached(
+        &self,
+        request: SolveRequest,
+        miss: PendingSolve,
+        on_done: impl FnOnce(Result<Arc<SolveReport>, SolveError>) + Send + 'static,
+    ) {
+        let core = Arc::clone(&self.core);
+        let PendingSolve { key, start } = miss;
+        self.pool().submit(move || {
+            on_done(compute_containing_panics(&core, &request, key, start));
+        });
     }
 
     /// Submits every request to the pool and returns an iterator that

@@ -169,6 +169,60 @@ fn a_detached_miss_is_looked_up_once_and_computed_on_the_pool() {
     assert_eq!(hit.canonical_json(), report.canonical_json());
 }
 
+/// The keyed halves: a key finished from the instance walk is the
+/// request fingerprint, `lookup_keyed` misses and hits under it without
+/// the instance, and `compute_detached` writes back under it. Each
+/// request is counted once by the service and once by the cache.
+#[test]
+fn keyed_lookups_count_once_and_share_the_request_fingerprint() {
+    use repliflow_core::fingerprint::Fingerprinter;
+    use repliflow_solver::{request_fingerprint, Lookup};
+    let service = SolverService::builder().workers(1).build();
+    let request = service.request(simplified_instances(1, 0x3E33).pop().unwrap());
+    let mut walk = Fingerprinter::new();
+    walk.write_instance(&request.instance);
+    let key = request_fingerprint(
+        walk,
+        request.engine,
+        &request.budget,
+        request.validate_witness,
+    );
+    assert_eq!(key, request.fingerprint());
+    let lookup = |service: &SolverService| {
+        service.lookup_keyed(key, &request.budget, request.deadline, None)
+    };
+    let Lookup::Miss(miss) = lookup(&service) else {
+        panic!("a cold key hit");
+    };
+    let (tx, rx) = mpsc::channel();
+    service.compute_detached(request.clone(), miss, move |result| {
+        let _ = tx.send(result);
+    });
+    let cold = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("on_done runs for a miss")
+        .expect("the miss computes");
+    let Lookup::Answered(Ok(warm)) = lookup(&service) else {
+        panic!("the computed key missed");
+    };
+    assert_eq!(warm.provenance, Provenance::Cached);
+    assert_eq!(warm.canonical_json(), cold.canonical_json());
+    let stats = service.stats();
+    assert_eq!(
+        (stats.requests, stats.cache_hits, stats.computed),
+        (2, 1, 1)
+    );
+    let cache = service.cache_stats().expect("caching service");
+    assert_eq!((cache.hits, cache.misses, cache.insertions), (1, 1, 1));
+    // an expired deadline fails fast before the cache, as in `solve`
+    let expired = service.lookup_keyed(key, &request.budget, Some(Deadline::in_ms(0)), None);
+    assert!(matches!(
+        expired,
+        Lookup::Answered(Err(SolveError::DeadlineExceeded))
+    ));
+    assert_eq!(service.cache_stats().unwrap().hits, 1);
+}
+
 /// A fail-fast error needs no compute either: `solve_detached` gives an
 /// expired deadline the same inline error `solve` gives, without a
 /// cache lookup.
