@@ -1005,7 +1005,7 @@ impl SolverService {
     /// [`request_fingerprint`](crate::request_fingerprint), so a warm
     /// hit neither decodes nor fingerprints its instance.
     ///
-    /// An [`Lookup::Answered`] outcome is counted here; a
+    /// A [`Lookup::Answered`] outcome is counted here; a
     /// [`Lookup::Miss`] counts once [`SolverService::compute_detached`]
     /// runs it. `key` must be the fingerprint of the request later
     /// computed under it, or the cache stores its answer under another
