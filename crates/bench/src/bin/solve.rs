@@ -45,6 +45,12 @@
 //! verbatim). `--deadline-ms` maps onto the wire `deadline_ms` field;
 //! `--stats` prints the daemon's metrics snapshot.
 //!
+//! Exit status: `0` when every instance was solved, `1` when one failed
+//! (an error, or an unattainable bound). A reader that closes stdout
+//! early (`solve a.json b.json | head -1`) ends the run quietly: no
+//! further solves and no further output, and the status is that of the
+//! reports printed until then.
+//!
 //! `--comm` switches an instance to the general model of Sections
 //! 3.2–3.3. Instances that already carry a `cost_model.WithComm` network
 //! keep it (the flag sets the discipline; `--overlap` adds overlapped
@@ -72,7 +78,7 @@ use repliflow_solver::{
     SolveReport, SolveRequest, SolverService,
 };
 use serde_json::Value;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -216,29 +222,30 @@ impl ReportFields {
         }
     }
 
-    /// Prints the human-readable report; returns whether it represents
-    /// a solved instance (an unattainable bound is reported, but counts
-    /// as a failure for the process exit code).
-    fn print(&self) -> bool {
-        println!("instance : {}", self.variant);
-        println!("cell     : {}", self.cell);
+    /// Prints the human-readable report to `out`; returns whether it
+    /// represents a solved instance (an unattainable bound is reported,
+    /// but counts as a failure for the process exit code).
+    fn print(&self, out: &mut impl Write) -> std::io::Result<bool> {
+        writeln!(out, "instance : {}", self.variant)?;
+        writeln!(out, "cell     : {}", self.cell)?;
         if self.comm_aware {
-            println!("model    : {}", self.cost_model);
+            writeln!(out, "model    : {}", self.cost_model)?;
         }
-        println!("engine   : {}", self.engine);
-        println!("optimal  : {}", self.optimality);
+        writeln!(out, "engine   : {}", self.engine)?;
+        writeln!(out, "optimal  : {}", self.optimality)?;
         // only instances beyond an exact-route cap carry a reason, so
         // the golden snapshots (all within caps) stay byte-stable
         if let Some(reason) = &self.fallback {
-            println!("fallback : {reason}");
+            writeln!(out, "fallback : {reason}")?;
         }
         // only surfaced when a cache is in play, so cacheless snapshots
         // stay byte-stable
         if self.provenance == "cached" {
-            println!("cache    : hit (served from the solve cache)");
+            writeln!(out, "cache    : hit (served from the solve cache)")?;
         }
         if let Some((nodes, pruned_bound, pruned_dominated, completed)) = self.search {
-            println!(
+            writeln!(
+                out,
                 "search   : {nodes} nodes ({pruned_bound} bound-pruned, {pruned_dominated} \
                  dominated), {}",
                 if completed {
@@ -246,25 +253,31 @@ impl ReportFields {
                 } else {
                     "budget-limited"
                 }
-            );
+            )?;
         }
         match (&self.mapping, &self.period, &self.latency) {
             (Some(mapping), Some((period, period_f)), Some((latency, latency_f))) => {
-                println!("mapping  : {mapping}");
-                println!("period   : {period} ({period_f:.6})");
-                println!("latency  : {latency} ({latency_f:.6})");
+                writeln!(out, "mapping  : {mapping}")?;
+                writeln!(out, "period   : {period} ({period_f:.6})")?;
+                writeln!(out, "latency  : {latency} ({latency_f:.6})")?;
                 if let Some((objective, _)) = &self.objective {
-                    println!("objective: {objective}");
+                    writeln!(out, "objective: {objective}")?;
                 }
                 if self.optimality == "infeasible" {
-                    println!("status   : bound unattainable (best bound-violating witness shown)");
+                    writeln!(
+                        out,
+                        "status   : bound unattainable (best bound-violating witness shown)"
+                    )?;
                 } else {
-                    println!("status   : feasible");
+                    writeln!(out, "status   : feasible")?;
                 }
             }
-            _ => println!("status   : bound proven unattainable (no mapping exists)"),
+            _ => writeln!(
+                out,
+                "status   : bound proven unattainable (no mapping exists)"
+            )?,
         }
-        self.optimality != "infeasible"
+        Ok(self.optimality != "infeasible")
     }
 
     /// The report as a JSON object for `--json` mode (exact rationals
@@ -418,6 +431,23 @@ fn warn_if_slow(engine: EnginePref, instances: &[ProblemInstance]) {
     }
 }
 
+/// The exit status of a run whose report printing ended with `printed`.
+/// A reader that closes stdout early (`solve a.json b.json | head -1`)
+/// is not an error: the run stops quietly, without further solves or
+/// output, and exits with the status of the reports printed until then
+/// (`0` unless one of them failed). Any other write error is reported
+/// and fails the run.
+fn exit_status(printed: std::io::Result<()>, failed: bool) -> ExitCode {
+    match printed {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write the reports: {e}");
+            ExitCode::FAILURE
+        }
+        _ if failed => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
+    }
+}
+
 /// `--remote`: ship every instance to a `repliflow-serve` daemon over
 /// one connection and render the responses through the same printers as
 /// local solves.
@@ -438,40 +468,46 @@ fn run_remote(
     };
     let mut failed = false;
     let single = instances.len() == 1;
-    let mut items = Vec::new();
     let mut fallbacks: Vec<String> = Vec::new();
-    for (path, instance) in paths.iter().zip(instances) {
-        if !single && !json {
-            println!("== {path} ==");
-        }
-        match client.solve(&instance, options) {
-            Ok(report) => {
-                let fields = ReportFields::from_remote(&report);
-                fallbacks.extend(fields.fallback.clone());
-                if json {
-                    failed |= fields.optimality == "infeasible";
-                    items.push(fields.json(path));
-                } else {
-                    failed |= !fields.print();
+    let mut out = std::io::stdout().lock();
+    let print_reports = || -> std::io::Result<()> {
+        let mut items = Vec::new();
+        for (path, instance) in paths.iter().zip(instances) {
+            if !single && !json {
+                writeln!(out, "== {path} ==")?;
+            }
+            match client.solve(&instance, options) {
+                Ok(report) => {
+                    let fields = ReportFields::from_remote(&report);
+                    fallbacks.extend(fields.fallback.clone());
+                    if json {
+                        failed |= fields.optimality == "infeasible";
+                        items.push(fields.json(path));
+                    } else {
+                        failed |= !fields.print(&mut out)?;
+                    }
+                }
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    failed = true;
                 }
             }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                failed = true;
+            if !single && !json {
+                writeln!(out)?;
             }
         }
-        if !single && !json {
-            println!();
+        if json {
+            writeln!(
+                out,
+                "{}",
+                serde_json::to_string_pretty(&Value::Array(items))
+                    .expect("report serialization is infallible")
+            )?;
         }
-    }
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&Value::Array(items))
-                .expect("report serialization is infallible")
-        );
-    }
-    if stats {
+        out.flush()
+    };
+    let printed = print_reports();
+    if printed.is_ok() && stats {
         match client.stats() {
             Ok(snapshot) => {
                 eprintln!("== daemon stats ==");
@@ -488,11 +524,7 @@ fn run_remote(
         }
         print_fallbacks(&fallbacks);
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_status(printed, failed)
 }
 
 fn main() -> ExitCode {
@@ -611,24 +643,27 @@ fn main() -> ExitCode {
     let deadline = deadline_ms.map(Deadline::in_ms);
     let mut failed = false;
     let mut fallbacks: Vec<String> = Vec::new();
-    if instances.len() == 1 && !json {
-        let mut request = SolveRequest::new(instances.into_iter().next().unwrap())
-            .engine(engine)
-            .budget(budget)
-            .validate_witness(validate);
-        request.deadline = deadline;
-        match service.solve(&request) {
-            Ok(report) => {
-                let fields = ReportFields::from_local(&report);
-                fallbacks.extend(fields.fallback.clone());
-                failed |= !fields.print();
+    let mut out = std::io::stdout().lock();
+    let print_reports = || -> std::io::Result<()> {
+        if instances.len() == 1 && !json {
+            let mut request = SolveRequest::new(instances.into_iter().next().unwrap())
+                .engine(engine)
+                .budget(budget)
+                .validate_witness(validate);
+            request.deadline = deadline;
+            match service.solve(&request) {
+                Ok(report) => {
+                    let fields = ReportFields::from_local(&report);
+                    fallbacks.extend(fields.fallback.clone());
+                    failed |= !fields.print(&mut out)?;
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    failed = true;
+                }
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                failed = true;
-            }
+            return out.flush();
         }
-    } else {
         // Many instances (or machine-readable mode): fan out across the
         // service's persistent worker pool.
         let options = BatchOptions {
@@ -655,41 +690,40 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "{}",
                 serde_json::to_string_pretty(&Value::Array(items))
                     .expect("report serialization is infallible")
-            );
+            )?;
         } else {
             for (path, result) in paths.iter().zip(results) {
-                println!("== {path} ==");
+                writeln!(out, "== {path} ==")?;
                 match result {
                     Ok(report) => {
                         let fields = ReportFields::from_local(&report);
                         fallbacks.extend(fields.fallback.clone());
-                        failed |= !fields.print();
+                        failed |= !fields.print(&mut out)?;
                     }
                     Err(e) => {
                         eprintln!("error: {path}: {e}");
                         failed = true;
                     }
                 }
-                println!();
+                writeln!(out)?;
             }
         }
-    }
+        out.flush()
+    };
+    let printed = print_reports();
     if escalate {
         // let in-flight background re-solves finish before the process
         // exits (and before their counters are reported)
         service.drain_escalations();
     }
-    if stats {
+    if printed.is_ok() && stats {
         print_stats(&service, &service.stats());
         print_fallbacks(&fallbacks);
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_status(printed, failed)
 }

@@ -114,3 +114,68 @@ fn stdin_input_works() {
         .unwrap()
         .contains("period   : 8"));
 }
+
+/// Runs `solve` with `args`, reads the first line of its output and
+/// closes the pipe, as `solve … | head -1` does; returns that line and
+/// the finished process's output (stderr and status).
+fn first_line_then_close(args: &[std::ffi::OsString]) -> (String, std::process::Output) {
+    use std::io::BufRead;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("solve binary runs");
+    let mut first = String::new();
+    {
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        stdout.read_line(&mut first).expect("first line");
+        // dropping the reader closes the pipe
+    }
+    (first, child.wait_with_output().expect("solve exits"))
+}
+
+/// 400 copies of one golden: about 200 KB of reports, more than a pipe
+/// buffer holds, so `solve` must write after the reader has gone.
+fn many_copies() -> Vec<std::ffi::OsString> {
+    let golden = instances_dir().join("hom_pipeline_period.json");
+    vec![golden.into_os_string(); 400]
+}
+
+/// A reader that closes stdout early ends the run quietly: no panic, no
+/// backtrace, and the status of the reports printed until then.
+#[test]
+fn a_closed_stdout_ends_a_local_run_quietly() {
+    let (first, output) = first_line_then_close(&many_copies());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(first.starts_with("== "), "first line: {first:?}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(output.status.success(), "status {:?}", output.status);
+}
+
+/// The same through `--remote`: the client stops solving and exits
+/// quietly once nobody reads its reports.
+#[test]
+fn a_closed_stdout_ends_a_remote_run_quietly() {
+    use repliflow_serve::server::{Server, ServerConfig};
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: Some(1),
+        ..ServerConfig::default()
+    })
+    .expect("daemon binds");
+    let addr = server.local_addr().expect("bound address");
+    let handle = server.handle();
+    let daemon = repliflow_sync::thread::spawn(move || server.run());
+    let mut args = vec!["--remote".into(), addr.to_string().into()];
+    args.extend(many_copies());
+    let (first, output) = first_line_then_close(&args);
+    handle.shutdown();
+    daemon.join().expect("daemon thread").expect("clean drain");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(first.starts_with("== "), "first line: {first:?}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(output.status.success(), "status {:?}", output.status);
+}

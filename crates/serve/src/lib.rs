@@ -15,14 +15,17 @@
 //!   (`overloaded`), a per-connection in-flight cap, and counters.
 //! * [`framing`] — newline framing under the line cap, linear in the
 //!   bytes read and independent of how they were chunked.
-//! * [`server`] — the daemon: thread-per-connection accept loop;
-//!   cache hits, errors and admin verbs answered on the connection
-//!   thread, cache misses on the pool; an instance memo that recognizes
-//!   a repeated `solve` instance by its raw bytes, so a warm hit skips
-//!   the decode and the fingerprint; per-connection writer threads,
-//!   the only ones writing to the socket (responses in completion
-//!   order, so clients may pipeline); graceful drain that answers
-//!   everything admitted before exiting.
+//! * [`server`] — the daemon: an accept loop that runs every
+//!   connection on a thread cache (finished connections park their
+//!   threads for the next); cache hits, errors and admin verbs
+//!   answered on the connection thread, cache misses on the pool; an
+//!   instance memo that recognizes a repeated `solve` instance by its
+//!   raw bytes, so a warm hit skips the decode and the fingerprint; a
+//!   per-connection outbox through which the thread holding an answer
+//!   sends it in one non-blocking send, with a writer job for what does
+//!   not fit the socket (responses in completion order, so clients may
+//!   pipeline); graceful drain that answers everything admitted and
+//!   joins every thread before exiting.
 //! * [`signal`] — SIGINT/SIGTERM → drain flag, without a `libc` crate.
 //! * [`client`] — a synchronous client: the CLI's `--remote` mode, the
 //!   `ctl` admin subcommand, tests and benchmarks.

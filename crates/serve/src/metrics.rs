@@ -1,8 +1,8 @@
 //! The `stats` verb's payload: one JSON snapshot of everything the
 //! daemon can observe about itself — server lifecycle, admission
 //! counters, solver service statistics (cache hit rate, per-engine
-//! wall time, worker utilization) and the end-to-end latency
-//! histogram's percentiles.
+//! wall time, worker utilization), the thread cache's counts and the
+//! end-to-end latency histogram's percentiles.
 //!
 //! Layout (all durations in milliseconds unless suffixed `_us`):
 //!
@@ -20,6 +20,7 @@
 //!  "cache":{"hits":3,"misses":6,"insertions":5,"evictions":0,
 //!           "shards":8},
 //!  "instance_memo":{"hits":2,"misses":7,"entries":5,"capacity":1024},
+//!  "threads":{"spawned":3,"reused":17,"parked":2,"writers":0},
 //!  "hedge":{"races":2,"primary_wins":1,"secondary_wins":1,
 //!           "losers_cancelled":2,"window_rescues":0},
 //!  "escalation":{"scheduled":1,"refreshed":1,"unimproved":0,
@@ -31,9 +32,14 @@
 //! `instance_memo` counts `solve` lines whose instance bytes the memo
 //! recognized (`hits`: no decode, no fingerprint) or did not (`misses`),
 //! and the entries it holds against its capacity, which is the solve
-//! cache's. `cache` and `instance_memo` are `null` when the daemon runs
-//! cacheless; latency
-//! percentiles are `null` until the first request is served. The
+//! cache's. `threads` describes the thread cache that runs every
+//! connection, writer and front job: `spawned` counts threads started
+//! because none was parked, `reused` jobs handed to a parked thread,
+//! `parked` the threads parked now, and `writers` the writer jobs
+//! started because an answer did not fit the socket buffer at once.
+//! `cache` and `instance_memo` are `null` when the daemon runs
+//! cacheless; latency percentiles are `null` until the first request
+//! is served. The
 //! `hedge` counters stay zero until the first `engine: "hedged"`
 //! request; `escalation` counters stay zero unless the daemon runs
 //! with `--escalate`.
@@ -112,6 +118,13 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
             ])
         }
     };
+    let threads = shared.threads.stats();
+    let threads = Value::Object(vec![
+        ("spawned".into(), Value::Int(threads.spawned as i128)),
+        ("reused".into(), Value::Int(threads.reused as i128)),
+        ("parked".into(), Value::Int(threads.parked as i128)),
+        ("writers".into(), Value::Int(threads.writers as i128)),
+    ]);
     let hedge = Value::Object(vec![
         ("races".into(), Value::Int(stats.hedge.races as i128)),
         (
@@ -209,6 +222,7 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
         ),
         ("cache".into(), cache),
         ("instance_memo".into(), instance_memo),
+        ("threads".into(), threads),
         ("hedge".into(), hedge),
         ("escalation".into(), escalation),
         ("latency".into(), latency_section(&stats.latency)),

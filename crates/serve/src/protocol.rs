@@ -822,7 +822,9 @@ fn ok_response_with_canonical(
     ) else {
         return fallback_error_line();
     };
-    let mut line = String::with_capacity(32 + id.len() + canonical.len() + siblings.len());
+    // 32 bytes of envelope, and one for the `\n` the daemon appends, so
+    // the line goes out from this buffer without growing it.
+    let mut line = String::with_capacity(33 + id.len() + canonical.len() + siblings.len());
     line.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":"));
     line.push_str(&id);
     line.push_str(",\"ok\":{\"canonical\":");

@@ -1,44 +1,63 @@
 //! The daemon itself: accept loop, per-connection protocol handling,
-//! admission, and graceful drain.
+//! admission, the answer path, the thread cache, and graceful drain.
 //!
 //! ## Architecture
 //!
 //! One [`Server`] owns one shared [`SolverService`] (persistent worker
-//! pool + solve cache) and a TCP listener. Each accepted connection
-//! gets two threads:
+//! pool + solve cache), a TCP listener and a [`ThreadCache`]. Each
+//! accepted connection runs as a job on a cached thread, the
+//! **connection thread**: it parses bounded request lines and answers
+//! everything that needs no engine compute itself — admin verbs,
+//! malformed lines, drain refusals, sheds (`overloaded`), and cache
+//! hits and fail-fast errors of admitted `solve` requests. A cache miss
+//! is queued on the service pool, and a `pareto` front runs as a job of
+//! its own on the thread cache.
 //!
-//! * a **reader** (the connection thread): parses bounded request
-//!   lines and answers everything that needs no engine compute itself
-//!   — admin verbs, malformed lines, drain refusals, sheds
-//!   (`overloaded`), and cache hits and fail-fast errors of admitted
-//!   `solve` requests. A cache miss is queued on the service pool;
-//! * a **writer**: the only thread that writes to the socket. It
-//!   serializes responses from an unbounded mpsc channel, one JSON line
-//!   each. The reader, pool workers and front threads only queue, so
-//!   none of them ever blocks on a slow peer, and the reader keeps
-//!   draining a client that pipelines a large batch before it reads.
+//! Answers leave through the connection's [`Outbox`]: whichever thread
+//! holds an answer sends it straight to the socket — the connection
+//! thread for what it answers inline, a pool worker's callback for a
+//! miss, the front job for a front. The send is one non-blocking
+//! `send(2)` of the whole line and its `\n`, under the outbox lock. If
+//! the line does not go out whole (the socket buffer is full), the rest
+//! is queued and a **writer** job is started on the thread cache; the
+//! writer finishes the queue with blocking writes and hands its thread
+//! back. Only the writer ever blocks on the peer, so the connection
+//! thread keeps draining a client that pipelines a large batch before
+//! it reads, and a pool worker never waits on a slow client. While a
+//! writer holds the stream, every other answer is queued behind it, so
+//! lines never interleave. On targets other than Linux there is no
+//! direct send: every answer is queued and goes through the writer.
 //!
 //! Answers go out in *completion* order — the echoed request `id` is
 //! the client's correlation key, so one connection can pipeline many
 //! solves, and a hit or a fast solve overtakes a slow sibling.
 //!
-//! Engine compute never runs on connection threads: connections stay
-//! cheap (two mostly-parked threads), and `solve` compute is bounded by
-//! the service pool regardless of the connection count. A `pareto`
-//! front computes on a thread of its own, which admission bounds in
-//! number but not the pool.
+//! Engine compute never runs on connection threads: `solve` compute is
+//! bounded by the service pool regardless of the connection count. A
+//! front's inner solves (`FrontSolver::inner_solve` calls
+//! `SolverService::solve`) run on the front job's thread, not on the
+//! pool: admission bounds how many fronts are in flight, but nothing
+//! bounds how many compute at once.
+//!
+//! The thread cache parks a thread whose job is done for up to
+//! [`PARK_TIME`], at most [`IDLE_CAP`] at a time. The accept loop hands
+//! the next connection (and a connection hands a writer or a front job)
+//! to a parked thread, and spawns a thread only when none is parked, so
+//! a client that reconnects costs no thread creation.
 //!
 //! ## Warm hits
 //!
 //! The daemon-wide instance memo (`memo.rs`, held in the server's
 //! shared state) recognizes a `solve` line's `instance` by its raw
 //! bytes. The request scan skims the value once, digesting it as it
-//! goes; on a memo hit the reader finishes the request fingerprint from
-//! the remembered instance walk ([`request_fingerprint`]) and asks the
-//! cache with [`SolverService::lookup_keyed`]. A repeated hit thus
-//! costs a skim, a digest and a lookup: no decode, no fingerprint, no
-//! pool round trip. A memo miss, or a memo hit whose lookup misses,
-//! decodes the instance as before ([`SolverService::solve_detached`] or
+//! goes; on a memo hit the connection thread finishes the request
+//! fingerprint from the remembered instance walk
+//! ([`request_fingerprint`]) and asks the cache with
+//! [`SolverService::lookup_keyed`]. A repeated hit thus costs a skim, a
+//! digest, a lookup and one `send(2)`: no decode, no fingerprint, no
+//! pool round trip, no thread handoff. A memo miss, or a memo hit whose
+//! lookup misses, decodes the instance as before
+//! ([`SolverService::solve_detached`] or
 //! [`SolverService::compute_detached`]), and each successful decode
 //! enters the memo. The memo holds at most the solve cache's entry
 //! capacity and no raw bytes; two distinct instances within the line
@@ -55,15 +74,16 @@
 //!    connection accepted from then on is dropped unserved, and the
 //!    listener closes — new connects are refused,
 //! 2. stops reading new requests on every connection,
-//! 3. answers every already-admitted request (each reader drops its
-//!    channel sender and joins its writer, which drains the in-flight
-//!    solve callbacks' responses first),
-//! 4. joins every connection thread and returns cleanly — the binary
-//!    exits 0.
+//! 3. answers every already-admitted request: each connection closes
+//!    only when no detached callback is outstanding and its outbox is
+//!    empty (or when the peer is gone),
+//! 4. drains the thread cache — every parked thread is woken and every
+//!    thread of the cache joined — and returns cleanly; the binary
+//!    exits 0. No thread the server started outlives [`Server::run`].
 //!
 //! Nothing admitted is ever dropped: a ticket only dies right before
-//! its response line is queued to the writer, and the writer only
-//! exits after the queue is empty.
+//! its answer is sent, and a connection only closes once every answer
+//! has gone out.
 
 use crate::admission::{Admission, AdmissionConfig, Ticket};
 use crate::framing::{Frame, LineBuffer};
@@ -79,10 +99,11 @@ use repliflow_solver::{
     SolverService,
 };
 use repliflow_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use repliflow_sync::sync::{mpsc, Arc};
+use repliflow_sync::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use repliflow_sync::thread::JoinHandle;
 use serde::Value;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -101,6 +122,26 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Loopback connects to a listening socket complete at once; the bound
 /// only matters when the accept backlog is full.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The write timeout of a connection's socket: a writer blocked on a
+/// peer that stops reading gives the connection up after this long, so
+/// a stuck peer cannot wedge drain forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a thread of the daemon's [`ThreadCache`] stays parked
+/// without a job before it exits. Long enough that a client which
+/// reconnects now and then finds a parked thread; a drain wakes parked
+/// threads at once, so it never waits this long.
+pub const PARK_TIME: Duration = Duration::from_secs(10);
+
+/// The most threads the daemon's [`ThreadCache`] keeps parked at once.
+/// A thread that finishes its job while this many are parked exits
+/// instead, so a burst of connections leaves at most this many idle
+/// threads behind.
+pub const IDLE_CAP: usize = 32;
+
+/// The name of every thread of the daemon's thread cache.
+const JOB_THREAD_NAME: &str = "repliflow-serve-job";
 
 /// Everything configurable about a [`Server`].
 #[derive(Clone, Debug)]
@@ -168,6 +209,8 @@ pub(crate) struct ServerShared {
     /// The instance memo (see [`crate::memo`]), capped at the solve
     /// cache's entry capacity; `None` when the daemon runs cacheless.
     pub(crate) memo: Option<InstanceMemo>,
+    /// The threads every connection, writer and front job runs on.
+    pub(crate) threads: Arc<ThreadCache>,
 }
 
 impl ServerShared {
@@ -261,6 +304,7 @@ impl Server {
                 default_budget: config.default_budget,
                 memo: (config.cache_capacity > 0)
                     .then(|| InstanceMemo::new(config.cache_capacity, config.cache_shards)),
+                threads: ThreadCache::new(JOB_THREAD_NAME, PARK_TIME, IDLE_CAP),
             }),
         })
     }
@@ -288,8 +332,9 @@ impl Server {
     }
 
     /// Serves until drain is requested, then drains and returns. On a
-    /// clean drain every admitted request has been answered and every
-    /// connection closed by the time this returns.
+    /// clean drain every admitted request has been answered, every
+    /// connection closed and every thread the server started joined by
+    /// the time this returns.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
             listener,
@@ -315,7 +360,6 @@ impl Server {
         } else {
             None
         };
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
         while !shared.draining() {
             match listener.accept() {
                 // The drain wake-up, or a client that lost the race
@@ -330,28 +374,20 @@ impl Server {
                     let service = Arc::clone(&service);
                     let front = Arc::clone(&front);
                     let shared_conn = Arc::clone(&shared);
-                    let spawned = repliflow_sync::thread::Builder::new()
-                        .name("repliflow-serve-conn".into())
-                        .spawn(move || {
-                            handle_connection(stream, &service, &front, &shared_conn);
-                            // relaxed: gauge metric only (see above).
-                            shared_conn.connections_open.fetch_sub(1, Ordering::Relaxed);
-                        });
-                    match spawned {
-                        Ok(handle) => connections.push(handle),
-                        // Spawn fails only under resource exhaustion;
-                        // shedding this connection (the dropped closure
-                        // drops the stream, hanging up on the peer) is
-                        // strictly better than panicking the accept
-                        // loop and killing every live connection.
-                        Err(_) => {
-                            // relaxed: gauge metric only (see above).
-                            shared.connections_open.fetch_sub(1, Ordering::Relaxed);
-                        }
+                    let started = shared.threads.execute(move || {
+                        handle_connection(stream, &service, &front, &shared_conn);
+                        // relaxed: gauge metric only (see above).
+                        shared_conn.connections_open.fetch_sub(1, Ordering::Relaxed);
+                    });
+                    // A spawn fails only under resource exhaustion;
+                    // shedding this connection (the dropped job drops
+                    // the stream, hanging up on the peer) is strictly
+                    // better than panicking the accept loop and killing
+                    // every live connection.
+                    if started.is_err() {
+                        // relaxed: gauge metric only (see above).
+                        shared.connections_open.fetch_sub(1, Ordering::Relaxed);
                     }
-                    // Reap finished connection threads so a long-lived
-                    // daemon's handle list doesn't grow without bound.
-                    connections.retain(|h| !h.is_finished());
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Transient accept errors (e.g. a connection reset
@@ -366,14 +402,12 @@ impl Server {
         shared.draining.store(true, Ordering::SeqCst);
         // Drain: close the listener first (new connects are refused),
         // then wait for every connection to answer its admitted
-        // requests and hang up.
+        // requests and hang up, and for every cached thread to exit.
         drop(listener);
         if let Some(watcher) = signal_watcher {
             let _ = watcher.join();
         }
-        for handle in connections {
-            let _ = handle.join();
-        }
+        shared.threads.drain();
         Ok(())
     }
 }
@@ -397,13 +431,13 @@ enum Line<'a> {
 /// socket, with drain-aware blocking — reads time out after
 /// [`POLL_INTERVAL`] so a parked connection notices a drain request.
 struct LineReader<'a> {
-    stream: TcpStream,
+    stream: &'a TcpStream,
     shared: &'a ServerShared,
     buffer: LineBuffer,
 }
 
 impl<'a> LineReader<'a> {
-    fn new(stream: TcpStream, shared: &'a ServerShared) -> LineReader<'a> {
+    fn new(stream: &'a TcpStream, shared: &'a ServerShared) -> LineReader<'a> {
         LineReader {
             stream,
             shared,
@@ -444,9 +478,9 @@ fn solve_response(id: &Value, result: Result<Arc<SolveReport>, SolveError>) -> S
     }
 }
 
-/// Serves one connection: reads requests until EOF/drain, answers via
-/// the writer thread, then waits for every admitted solve's response
-/// to flush before hanging up.
+/// Serves one connection: reads requests until EOF/drain, answers
+/// through its outbox, then waits for every admitted request's answer
+/// to go out before hanging up.
 fn handle_connection(
     stream: TcpStream,
     service: &Arc<SolverService>,
@@ -456,40 +490,12 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    // A stuck peer must not wedge the writer (and thus drain) forever.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<String>();
-    let spawned = repliflow_sync::thread::Builder::new()
-        .name("repliflow-serve-write".into())
-        .spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            for line in rx {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    // Peer is gone: stop writing. Senders' `send`s fail
-                    // harmlessly; admission tickets still release.
-                    return;
-                }
-            }
-        });
-    // Without a writer thread the connection cannot answer anything;
-    // hang up (the peer retries) rather than panic the daemon. Spawn
-    // fails only under resource exhaustion.
-    let Ok(writer) = spawned else {
-        return;
-    };
-
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let outbox = Arc::new(Outbox::new(stream, Arc::clone(&shared.threads)));
     let conn_inflight = Arc::new(AtomicUsize::new(0));
-    let mut reader = LineReader::new(stream, shared);
+    let mut reader = LineReader::new(outbox.sink(), shared);
     loop {
-        if shared.draining() {
+        if shared.draining() || outbox.peer_gone() {
             break;
         }
         match reader.next_line() {
@@ -499,10 +505,10 @@ fn handle_connection(
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(line, service, front, shared, &conn_inflight, &tx);
+                handle_line(line, service, front, shared, &conn_inflight, &outbox);
             }
             Line::TooLong => {
-                let _ = tx.send(err_response(
+                outbox.send(err_response(
                     &Value::Null,
                     ErrorCode::LineTooLong,
                     &format!(
@@ -514,60 +520,62 @@ fn handle_connection(
             Line::Draining | Line::Eof | Line::Failed => break,
         }
     }
-    // Dropping our sender lets the writer exit once every in-flight
-    // solve callback has delivered its response — the "no admitted
-    // request is ever dropped" half of graceful drain.
-    drop(tx);
-    let _ = writer.join();
+    // Wait until every in-flight solve callback has sent its answer and
+    // the writer has emptied the queue — the "no admitted request is
+    // ever dropped" half of graceful drain.
+    outbox.close();
 }
 
 /// Dispatches one parsed request line. Everything answered without
 /// compute — errors, sheds, admin verbs, cache hits — is answered here,
 /// on the connection thread; cache misses go to the service pool and
-/// fronts to their own thread. Every answer is queued to the writer
-/// through `tx`, so this thread never blocks on the peer and keeps
-/// draining pipelined requests.
+/// fronts to a job of their own. Every answer goes through the outbox,
+/// which never blocks this thread on the peer, so it keeps draining
+/// pipelined requests.
 fn handle_line(
     line: &str,
     service: &Arc<SolverService>,
     front: &Arc<FrontSolver>,
     shared: &Arc<ServerShared>,
     conn_inflight: &Arc<AtomicUsize>,
-    tx: &mpsc::Sender<String>,
+    outbox: &Arc<Outbox<TcpStream>>,
 ) {
     let request = match parse_request_memo(line, shared.memo.as_ref()) {
         Ok(request) => request,
         Err(failure) => {
-            let _ = tx.send(err_response(&failure.id, failure.code, &failure.message));
+            outbox.send(err_response(&failure.id, failure.code, &failure.message));
             return;
         }
     };
     let id = request.id;
     match request.verb {
         Verb::Ping => {
-            let _ = tx.send(ok_response(
+            outbox.send(ok_response(
                 &id,
                 Value::Object(vec![("pong".into(), Value::Bool(true))]),
             ));
         }
         Verb::Stats => {
-            let _ = tx.send(ok_response(&id, metrics::snapshot(service, shared)));
+            outbox.send(ok_response(&id, metrics::snapshot(service, shared)));
         }
         Verb::Shutdown => {
-            // Answer first, then raise the flag: the writer drains its
-            // queue before exiting, so the acknowledgement always ships.
-            let _ = tx.send(ok_response(
+            // Answer first, then raise the flag: the connection closes
+            // only once its outbox is empty, so the acknowledgement
+            // always ships.
+            outbox.send(ok_response(
                 &id,
                 Value::Object(vec![("draining".into(), Value::Bool(true))]),
             ));
             shared.request_drain();
         }
-        Verb::Solve(body) => handle_solve(line, id, *body, service, shared, conn_inflight, tx),
+        Verb::Solve(body) => {
+            handle_solve(line, id, *body, service, shared, conn_inflight, outbox);
+        }
         Verb::Pareto(body) => {
             let ticket = match admit(shared, conn_inflight, &id) {
                 Ok(ticket) => ticket,
                 Err(refusal) => {
-                    let _ = tx.send(refusal);
+                    outbox.send(refusal);
                     return;
                 }
             };
@@ -580,33 +588,31 @@ fn handle_line(
                 .budget(budget)
                 .validate_witness(body.validate);
             let front = Arc::clone(front);
-            let front_tx = tx.clone();
+            let reply = outbox.reply();
             let front_id = id.clone();
             // A front solve is a *sequence* of inner solves; running it
             // on the connection thread would stall pipelined siblings
-            // behind the whole sweep, so it gets its own thread. The
-            // inner solves (`FrontSolver::inner_solve` calls
-            // `SolverService::solve`) run on that thread, not on the
-            // shared pool: admission bounds how many fronts are in
+            // behind the whole sweep, so it runs as a job of its own.
+            // The inner solves (`FrontSolver::inner_solve` calls
+            // `SolverService::solve`) run on that job's thread, not on
+            // the shared pool: admission bounds how many fronts are in
             // flight, but nothing bounds how many compute at once.
-            let spawned = repliflow_sync::thread::Builder::new()
-                .name("repliflow-serve-front".into())
-                .spawn(move || {
-                    let response = match front.solve_front(&request) {
-                        Ok(report) => front_ok_response(&front_id, &report),
-                        Err(error) => {
-                            let (code, message) = ErrorCode::of_solve_error(&error);
-                            err_response(&front_id, code, &message)
-                        }
-                    };
-                    // Same release-before-answer ordering as solve.
-                    drop(ticket);
-                    let _ = front_tx.send(response);
-                });
-            if spawned.is_err() {
+            let started = shared.threads.execute(move || {
+                let response = match front.solve_front(&request) {
+                    Ok(report) => front_ok_response(&front_id, &report),
+                    Err(error) => {
+                        let (code, message) = ErrorCode::of_solve_error(&error);
+                        err_response(&front_id, code, &message)
+                    }
+                };
+                // Same release-before-answer ordering as solve.
+                drop(ticket);
+                reply.send(response);
+            });
+            if started.is_err() {
                 // Resource exhaustion: shed this request; the ticket
-                // (moved into the dropped closure) releases on drop.
-                let _ = tx.send(err_response(
+                // (moved into the dropped job) is already released.
+                outbox.send(err_response(
                     &id,
                     ErrorCode::Overloaded,
                     "cannot spawn a front orchestration thread; retry later",
@@ -618,10 +624,11 @@ fn handle_line(
 
 /// Admits and answers one `solve`. A shed, a cache hit or a fail-fast
 /// error is answered here, on the connection thread; a miss computes on
-/// the service pool. When the instance has a memo walk, the request key
-/// is finished from it and looked up before anything is decoded: a warm
-/// hit costs the skim, the digest and the lookup. Otherwise the request
-/// fingerprints its decoded instance, as without a memo.
+/// the service pool and its callback answers. When the instance has a
+/// memo walk, the request key is finished from it and looked up before
+/// anything is decoded: a warm hit costs the skim, the digest and the
+/// lookup. Otherwise the request fingerprints its decoded instance, as
+/// without a memo.
 fn handle_solve(
     line: &str,
     id: Value,
@@ -629,12 +636,12 @@ fn handle_solve(
     service: &Arc<SolverService>,
     shared: &Arc<ServerShared>,
     conn_inflight: &Arc<AtomicUsize>,
-    tx: &mpsc::Sender<String>,
+    outbox: &Arc<Outbox<TcpStream>>,
 ) {
     let ticket = match admit(shared, conn_inflight, &id) {
         Ok(ticket) => ticket,
         Err(refusal) => {
-            let _ = tx.send(refusal);
+            outbox.send(refusal);
             return;
         }
     };
@@ -647,25 +654,16 @@ fn handle_solve(
     } = body;
     let budget = shared.default_budget.quality(quality);
     let deadline = deadline_ms.map(Deadline::in_ms);
-    let pool_tx = tx.clone();
-    let pool_id = id.clone();
-    let on_done = move |result| {
-        let response = solve_response(&pool_id, result);
-        // Release the slot before queuing the response: a client that
-        // has read its answer must already see the request as completed
-        // (e.g. in a follow-up `stats`).
-        drop(ticket);
-        let _ = pool_tx.send(response);
-    };
-    // Every inline answer below drops `on_done`, and the ticket in it,
-    // before it is queued: released before answered here too.
+    // Every inline answer below drops the ticket before it is sent: a
+    // client that has read its answer must already see the request as
+    // completed (e.g. in a follow-up `stats`).
     let miss = match instance.walk() {
         Some(walk) => {
             let key = request_fingerprint(walk, engine, &budget, validate);
             match service.lookup_keyed(key, &budget, deadline, None) {
                 Lookup::Answered(result) => {
-                    drop(on_done);
-                    let _ = tx.send(solve_response(&id, result));
+                    drop(ticket);
+                    outbox.send(solve_response(&id, result));
                     return;
                 }
                 Lookup::Miss(miss) => Some(miss),
@@ -678,8 +676,8 @@ fn handle_solve(
         // A memoized span decodes as it did when it entered the memo;
         // only a digest collision gets here.
         Err(message) => {
-            drop(on_done);
-            let _ = tx.send(err_response(&id, ErrorCode::BadRequest, &message));
+            drop(ticket);
+            outbox.send(err_response(&id, ErrorCode::BadRequest, &message));
             return;
         }
     };
@@ -690,11 +688,21 @@ fn handle_solve(
             .budget(budget)
             .validate_witness(validate)
     };
+    let reply = outbox.reply();
+    let pool_id = id.clone();
+    let on_done = move |result| {
+        let response = solve_response(&pool_id, result);
+        // Release the slot before sending the answer (see above).
+        drop(ticket);
+        reply.send(response);
+    };
     match miss {
         Some(miss) => service.compute_detached(request, miss, on_done),
         None => {
+            // An inline answer has dropped `on_done`, and the ticket in
+            // it, before it returns.
             if let Some(result) = service.solve_detached(request, on_done) {
-                let _ = tx.send(solve_response(&id, result));
+                outbox.send(solve_response(&id, result));
             }
         }
     }
@@ -721,4 +729,434 @@ fn admit(
             &reason.message(shared.admission.config()),
         )
     })
+}
+
+/// Locks `mutex`, recovering it from poisoning: the outbox and the
+/// thread cache only update flags, counts and queues under their locks,
+/// so the state a panicking holder leaves is coherent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------
+// The answer path
+// ---------------------------------------------------------------------
+
+/// Linux's `MSG_DONTWAIT`: this one send does not block.
+#[cfg(target_os = "linux")]
+const MSG_DONTWAIT: i32 = 0x40;
+
+/// Linux's `MSG_NOSIGNAL`: a send to a closed peer fails with `EPIPE`
+/// instead of raising `SIGPIPE`.
+#[cfg(target_os = "linux")]
+const MSG_NOSIGNAL: i32 = 0x4000;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    /// POSIX `send(2)` (the workspace vendors no `libc`): sends up to
+    /// `len` bytes from `buf` on socket `fd`, returns the count sent or
+    /// -1 with `errno` set.
+    fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+}
+
+/// Where an [`Outbox`]'s bytes go. The daemon's sink is the
+/// connection's [`TcpStream`]; the model checks
+/// (`tests/modelcheck_drain.rs`) use a fake that takes a few bytes at a
+/// time.
+pub trait Sink: Send + Sync + 'static {
+    /// Sends a prefix of `bytes` without blocking and returns its
+    /// length; `WouldBlock` when nothing fits now.
+    fn try_send(&self, bytes: &[u8]) -> std::io::Result<usize>;
+
+    /// Sends all of `bytes`, blocking while the peer does not take
+    /// them (up to the socket's write timeout).
+    fn send_all(&self, bytes: &[u8]) -> std::io::Result<()>;
+}
+
+impl Sink for TcpStream {
+    /// One `send(2)` with `MSG_DONTWAIT | MSG_NOSIGNAL`.
+    #[cfg(target_os = "linux")]
+    fn try_send(&self, bytes: &[u8]) -> std::io::Result<usize> {
+        use std::os::fd::AsRawFd;
+        // SAFETY: `send` is the libc entry point with this C signature;
+        // `bytes` is a live slice of `bytes.len()` readable bytes for
+        // the whole call, and the descriptor is this stream's own open
+        // socket, which `&self` keeps open.
+        let sent = unsafe {
+            send(
+                self.as_raw_fd(),
+                bytes.as_ptr(),
+                bytes.len(),
+                MSG_DONTWAIT | MSG_NOSIGNAL,
+            )
+        };
+        usize::try_from(sent).map_err(|_| std::io::Error::last_os_error())
+    }
+
+    /// No direct send off Linux: every answer goes through the writer.
+    #[cfg(not(target_os = "linux"))]
+    fn try_send(&self, _bytes: &[u8]) -> std::io::Result<usize> {
+        Err(ErrorKind::WouldBlock.into())
+    }
+
+    fn send_all(&self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut stream = self;
+        stream.write_all(bytes)
+    }
+}
+
+/// One connection's answer path: every answer is sent by the thread
+/// that has it, straight to the [`Sink`], unless a writer holds the
+/// stream (see the module docs).
+///
+/// Invariants, all under the one lock:
+/// * a direct send happens only while no writer holds the stream, and
+///   the queue is empty whenever none does — so lines never interleave;
+/// * whatever a direct send leaves over is queued, and the stream
+///   handed to a writer job, in the same critical section;
+/// * [`Outbox::close`] returns only when no [`Reply`] is outstanding and
+///   no writer holds the stream, or when the peer is gone.
+pub struct Outbox<S: Sink> {
+    sink: S,
+    threads: Arc<ThreadCache>,
+    state: Mutex<OutboxState>,
+    /// Signalled, while the connection closes, when the last reply is
+    /// dropped or the writer hands the stream back.
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    /// Answer bytes a writer has yet to send: the rest of the line whose
+    /// direct send fell short, then whole lines in order.
+    queue: Vec<u8>,
+    /// Whether a writer job holds the stream.
+    writer: bool,
+    /// Outstanding [`Reply`] handles.
+    replies: usize,
+    /// The peer is gone (or no writer thread could be started): further
+    /// answers are dropped.
+    dead: bool,
+    /// [`Outbox::close`] is waiting on `settled`.
+    closing: bool,
+}
+
+impl<S: Sink> Outbox<S> {
+    /// An outbox over `sink` whose writer jobs run on `threads`.
+    pub fn new(sink: S, threads: Arc<ThreadCache>) -> Outbox<S> {
+        Outbox {
+            sink,
+            threads,
+            state: Mutex::new(OutboxState::default()),
+            settled: Condvar::new(),
+        }
+    }
+
+    /// The sink (the daemon reads requests from the same socket).
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Sends one answer line; the `\n` is appended here, in the same
+    /// buffer, so a direct send is one syscall. Never blocks on the
+    /// peer: what does not go out at once is queued for a writer.
+    pub fn send(self: &Arc<Self>, mut line: String) {
+        line.push('\n');
+        let line = line.as_bytes();
+        let mut state = lock(&self.state);
+        if state.dead {
+            return;
+        }
+        if state.writer {
+            state.queue.extend_from_slice(line);
+            return;
+        }
+        let sent = loop {
+            match self.sink.try_send(line) {
+                Ok(sent) => break sent,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
+                Err(_) => {
+                    self.give_up(state);
+                    return;
+                }
+            }
+        };
+        if sent >= line.len() {
+            return;
+        }
+        state.queue.extend_from_slice(&line[sent..]);
+        state.writer = true;
+        drop(state);
+        self.start_writer();
+    }
+
+    /// A handle for an answer sent later by another thread (a pool
+    /// callback, a front job): the connection does not close while it
+    /// is outstanding.
+    pub fn reply(self: &Arc<Self>) -> Reply<S> {
+        lock(&self.state).replies += 1;
+        Reply {
+            outbox: Arc::clone(self),
+        }
+    }
+
+    /// Whether the peer is gone: answers are dropped from now on.
+    pub fn peer_gone(&self) -> bool {
+        lock(&self.state).dead
+    }
+
+    /// Waits until every answer is out — no reply outstanding and no
+    /// writer holding the stream — or the peer is gone.
+    pub fn close(&self) {
+        let mut state = lock(&self.state);
+        state.closing = true;
+        while !state.dead && (state.replies > 0 || state.writer) {
+            state = self
+                .settled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Starts a writer job for the queue.
+    fn start_writer(self: &Arc<Self>) {
+        // relaxed: a monotone counter for `stats` only.
+        self.threads.writers.fetch_add(1, Ordering::Relaxed);
+        let outbox = Arc::clone(self);
+        if self.threads.execute(move || outbox.write_queue()).is_err() {
+            // No thread for the writer (resource exhaustion): the
+            // queued answers cannot be delivered, so the connection is
+            // given up and hangs up.
+            self.give_up(lock(&self.state));
+        }
+    }
+
+    /// The writer job: sends the queue with blocking writes until it is
+    /// empty, then hands the stream back.
+    fn write_queue(&self) {
+        let mut state = lock(&self.state);
+        while !state.dead && !state.queue.is_empty() {
+            let batch = std::mem::take(&mut state.queue);
+            drop(state);
+            let sent = self.sink.send_all(&batch);
+            state = lock(&self.state);
+            if sent.is_err() {
+                self.give_up(state);
+                return;
+            }
+        }
+        state.writer = false;
+        self.settle(state);
+    }
+
+    /// Marks the peer gone: drops the queue and releases `close`.
+    fn give_up(&self, mut state: MutexGuard<'_, OutboxState>) {
+        state.dead = true;
+        state.writer = false;
+        state.queue = Vec::new();
+        self.settle(state);
+    }
+
+    /// Wakes a waiting `close` (its condition may now hold).
+    fn settle(&self, state: MutexGuard<'_, OutboxState>) {
+        let closing = state.closing;
+        drop(state);
+        if closing {
+            self.settled.notify_all();
+        }
+    }
+}
+
+/// An outstanding answer of an [`Outbox`], sent from another thread;
+/// see [`Outbox::reply`]. Dropping it unsent also releases the
+/// connection's close.
+pub struct Reply<S: Sink> {
+    outbox: Arc<Outbox<S>>,
+}
+
+impl<S: Sink> Reply<S> {
+    /// Sends the answer (as [`Outbox::send`]) and retires the handle.
+    pub fn send(self, line: String) {
+        self.outbox.send(line);
+    }
+}
+
+impl<S: Sink> Drop for Reply<S> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.outbox.state);
+        state.replies -= 1;
+        if state.replies == 0 {
+            self.outbox.settle(state);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The thread cache
+// ---------------------------------------------------------------------
+
+/// A job of the [`ThreadCache`].
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The threads the daemon runs its connections, writers and fronts on.
+/// A thread whose job is done parks (for up to the park time, and only
+/// while fewer than the idle cap are parked); [`ThreadCache::execute`]
+/// hands a job to a parked thread and spawns a new one only when none
+/// is parked. [`ThreadCache::drain`] wakes every parked thread and
+/// joins every thread.
+pub struct ThreadCache {
+    name: &'static str,
+    park: Duration,
+    idle_cap: usize,
+    state: Mutex<CacheState>,
+    /// Parked threads wait here for a job or the drain.
+    wake: Condvar,
+    spawned: AtomicU64,
+    reused: AtomicU64,
+    writers: AtomicU64,
+}
+
+#[derive(Default)]
+struct CacheState {
+    /// Jobs handed to parked threads and not yet taken; never more than
+    /// `idle`, so every queued job has a parked thread to run it.
+    jobs: VecDeque<Job>,
+    /// Parked threads.
+    idle: usize,
+    draining: bool,
+    /// Every thread started and not yet joined.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// The `threads` section of the daemon's `stats`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThreadStats {
+    /// Threads started because no thread was parked.
+    pub spawned: u64,
+    /// Jobs handed to a parked thread.
+    pub reused: u64,
+    /// Threads parked now.
+    pub parked: usize,
+    /// Writer jobs started because a send would block.
+    pub writers: u64,
+}
+
+impl ThreadCache {
+    /// A cache whose threads are named `name`, park for up to `park`
+    /// and of which at most `idle_cap` park at once.
+    pub fn new(name: &'static str, park: Duration, idle_cap: usize) -> Arc<ThreadCache> {
+        Arc::new(ThreadCache {
+            name,
+            park,
+            idle_cap,
+            state: Mutex::new(CacheState::default()),
+            wake: Condvar::new(),
+            spawned: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
+            writers: AtomicU64::new(0),
+        })
+    }
+
+    /// Runs `job` on a parked thread, or on a new one when none is
+    /// parked. Fails only when a thread cannot be spawned; the job is
+    /// then dropped unrun.
+    pub fn execute(self: &Arc<Self>, job: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let mut state = lock(&self.state);
+        if state.idle > state.jobs.len() {
+            state.jobs.push_back(Box::new(job));
+            drop(state);
+            self.wake.notify_one();
+            // relaxed: a monotone counter for `stats` only.
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        // Spawned under the lock, so `drain` cannot miss the handle.
+        let cache = Arc::clone(self);
+        let handle = repliflow_sync::thread::Builder::new()
+            .name(self.name.into())
+            .spawn(move || cache.work(Box::new(job)))?;
+        state.threads.retain(|thread| !thread.is_finished());
+        state.threads.push(handle);
+        // relaxed: a monotone counter for `stats` only.
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Wakes every parked thread and joins every thread, including
+    /// those started while it waits (writers of closing connections).
+    /// Returns when no thread of the cache is left.
+    pub fn drain(&self) {
+        lock(&self.state).draining = true;
+        self.wake.notify_all();
+        loop {
+            let threads = std::mem::take(&mut lock(&self.state).threads);
+            if threads.is_empty() {
+                return;
+            }
+            for thread in threads {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// The counters of the `stats` section.
+    pub fn stats(&self) -> ThreadStats {
+        let parked = {
+            let state = lock(&self.state);
+            state.idle - state.jobs.len()
+        };
+        // relaxed: monotone counters; a stats reader tolerates values a
+        // moment stale.
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        ThreadStats {
+            spawned: count(&self.spawned),
+            reused: count(&self.reused),
+            parked,
+            writers: count(&self.writers),
+        }
+    }
+
+    /// A cached thread's life: run the job, then park for the next.
+    fn work(&self, mut job: Job) {
+        loop {
+            job();
+            match self.park_for_job() {
+                Some(next) => job = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Parks until a job is handed over. `None` when the thread should
+    /// exit instead: drain, the idle cap, or a park time without a job.
+    fn park_for_job(&self) -> Option<Job> {
+        let mut state = lock(&self.state);
+        if state.draining || state.idle >= self.idle_cap {
+            return None;
+        }
+        state.idle += 1;
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                state.idle -= 1;
+                return Some(job);
+            }
+            if state.draining {
+                state.idle -= 1;
+                return None;
+            }
+            let (guard, wait) = self
+                .wake
+                .wait_timeout(state, self.park)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
+            // The idle re-check: a job handed over while the park time
+            // ran out counted on this thread, so it is taken (at the
+            // top of the loop) rather than left behind.
+            if wait.timed_out() && state.jobs.is_empty() {
+                state.idle -= 1;
+                return None;
+            }
+        }
+    }
 }

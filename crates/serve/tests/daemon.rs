@@ -777,8 +777,9 @@ fn long_pipeline_json(stages: usize) -> String {
 }
 
 /// A client may pipeline a whole batch before it reads any answer. The
-/// connection thread only queues its answers to the writer, so it keeps
-/// reading while the unread answers outgrow both sockets' buffers
+/// connection thread never blocks on the peer (what does not fit the
+/// socket is queued for a writer job), so it keeps reading while the
+/// unread answers outgrow both sockets' buffers
 /// (Linux grows a send buffer to 4 MB by default), and every request
 /// still gets exactly one whole answer.
 #[test]
@@ -1043,6 +1044,86 @@ fn the_instance_memo_never_changes_an_answer_or_an_error() {
     let expired = format!(r#"{{"v":1,"id":22,"verb":"solve","instance":{x},"deadline_ms":0}}"#);
     let answer = parse_value(&send(expired)).unwrap();
     assert_eq!(err_code(&answer), Some("deadline_exceeded"));
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A connection that has finished parks its thread, and the next
+/// connection runs on it: 20 sequential one-hit connections spawn
+/// almost no threads, and answers that fit the socket need no writer.
+/// A client that pipelines more than the socket buffers hold before it
+/// reads gets the rest of its answers through a writer job.
+#[test]
+fn connections_reuse_parked_threads_and_a_full_socket_starts_a_writer() {
+    const BATCH: usize = 600;
+    let (addr, handle, join) = start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let golden = std::fs::read_to_string(instances_dir().join("hom_pipeline_period.json"))
+        .expect("golden instance is readable");
+    let instance = serde_json::to_string(&parse_value(&golden).expect("golden parses")).unwrap();
+    let line = |id: usize| format!(r#"{{"v":1,"id":{id},"verb":"solve","instance":{instance}}}"#);
+    // The observer's own connection holds a thread throughout.
+    let mut observer = RemoteClient::connect(addr).expect("client connects");
+    let mut threads_now = || observer.stats().expect("stats verb");
+    let warm = raw_exchange(addr, &[line(0)], 1);
+    assert_eq!(err_code(&warm[0]), None, "warming solve failed");
+    for id in 1..=20 {
+        // A client that reconnects once the last connection's thread
+        // has parked.
+        let begin = std::time::Instant::now();
+        while stat(&threads_now(), "threads", "parked") < Some(1) {
+            assert!(
+                begin.elapsed() < Duration::from_secs(10),
+                "a finished connection never parked its thread"
+            );
+            repliflow_sync::thread::sleep(Duration::from_millis(1));
+        }
+        let hit = raw_exchange(addr, &[line(id)], 1);
+        let provenance = hit[0]
+            .field("ok")
+            .and_then(|ok| ok.field("provenance"))
+            .and_then(Value::as_str);
+        assert_eq!(provenance, Some("cached"), "connection {id}");
+    }
+    let stats = threads_now();
+    let threads = |name| stat(&stats, "threads", name).expect("threads section");
+    assert!(threads("spawned") <= 4, "{:?}", stats.field("threads"));
+    assert!(threads("reused") >= 16, "{:?}", stats.field("threads"));
+    assert_eq!(threads("writers"), 0, "{:?}", stats.field("threads"));
+
+    let instance = long_pipeline_json(5_000);
+    let line = |id: usize| format!(r#"{{"v":1,"id":{id},"verb":"solve","instance":{instance}}}"#);
+    let warm = raw_exchange(addr, &[line(BATCH)], 1);
+    assert_eq!(err_code(&warm[0]), None, "warming solve failed");
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for id in 0..BATCH {
+        stream
+            .write_all(format!("{}\n", line(id)).as_bytes())
+            .unwrap();
+    }
+    let mut bytes = 0;
+    for _ in 0..BATCH {
+        let mut text = String::new();
+        let read = reader.read_line(&mut text).expect("response read");
+        assert!(read > 0 && text.ends_with('\n'), "daemon hung up early");
+        bytes += read;
+    }
+    assert!(bytes > 16 << 20, "only {bytes} response bytes");
+    let stats = RemoteClient::connect(addr)
+        .expect("client connects")
+        .stats()
+        .expect("stats verb");
+    let writers = stat(&stats, "threads", "writers");
+    assert!(writers >= Some(1), "{:?}", stats.field("threads"));
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
