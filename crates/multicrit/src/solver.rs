@@ -95,6 +95,14 @@ impl FrontSolver {
         self.cache.as_ref().map(|c| c.stats())
     }
 
+    /// Fronts the front cache holds now (`None` when built
+    /// [`without_cache`]).
+    ///
+    /// [`without_cache`]: FrontSolver::without_cache
+    pub fn cache_len(&self) -> Option<usize> {
+        self.cache.as_ref().map(|c| c.len())
+    }
+
     /// Drops every cached front (counters are kept).
     pub fn clear_cache(&self) {
         if let Some(cache) = &self.cache {

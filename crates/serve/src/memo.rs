@@ -16,22 +16,28 @@
 //!
 //! ## The skim
 //!
-//! [`InstanceMemo::skim`] passes over the value once. It finds the
-//! value's end by bracket depth, and digests each 56-byte block as the
-//! scan leaves it. Outside strings it skips eight bytes at a time while
-//! none of them is a brace, a bracket or a quote: the runs of digits,
-//! commas and spaces that make up nearly all of a long pipeline. Strings
-//! go byte by byte, honoring backslash escapes. The skim checks no other
-//! grammar. That is safe because only a span that the decoder accepted,
-//! and that ended where the skim ended, ever enters the memo: a hit
-//! means the same bytes as an accepted instance.
+//! [`InstanceMemo::skim`] makes two tight passes over the value. The
+//! first finds the value's end by bracket depth: it jumps from one
+//! brace, bracket or quote to the next, 16 bytes per step with SSE2 on
+//! x86_64 (part of that target's baseline) and eight bytes at a time
+//! with plain word arithmetic elsewhere, over the runs of digits,
+//! commas and spaces that make up nearly all of a long pipeline. A
+//! string is skipped to its closing quote, honoring backslash escapes.
+//! The second pass digests the span two blocks at a time (see below).
+//! The skim checks no other grammar. That is safe because only a span
+//! that the decoder accepted, and that ended where the skim ended, ever
+//! enters the memo: a hit means the same bytes as an accepted instance.
 //!
 //! ## The digest
 //!
 //! Two lanes of a polynomial hash modulo the Mersenne prime
 //! p = 2^61 − 1, over 7-byte little-endian limbs (each below 2^56 < p):
 //! the last block is zero-padded, and the byte length is appended as a
-//! final limb. Each lane's evaluation point is drawn when the memo is
+//! final limb. Horner's rule runs over pairs of 56-byte blocks: the
+//! sixteen products of a pair are summed as a tree, so only
+//! `h·r^16 + S` waits on the previous pair. That is the same polynomial
+//! as limb by limb, so the digest does not depend on how it is
+//! grouped. Each lane's evaluation point is drawn when the memo is
 //! built, from std's `RandomState`, which the OS seeds; it never leaves
 //! the process. A span within the 1 MiB line cap has at most
 //! 8 · ⌈2^20 / 56⌉ + 1 < 2^17.2 limbs, so two distinct spans give a
@@ -92,12 +98,38 @@ struct Entry {
     walk: Fingerprinter,
 }
 
+/// One lane's evaluation point `r`, as the digest uses its powers mod p.
+struct Point {
+    r: u64,
+    /// `r^8`, the step over one block.
+    r8: u64,
+    /// `r^16`, the step over a pair of blocks.
+    r16: u64,
+    /// `r^15, r^14, …, r^0`: limb `j` of a block pair is multiplied by
+    /// `desc[j]`, limb `j` of a lone block by `desc[8 + j]`.
+    desc: [u64; 16],
+}
+
+impl Point {
+    fn new(r: u64) -> Point {
+        let mut powers = [1u64; 17];
+        for i in 1..powers.len() {
+            powers[i] = reduce(u128::from(powers[i - 1]) * u128::from(r));
+        }
+        Point {
+            r,
+            r8: powers[8],
+            r16: powers[16],
+            desc: std::array::from_fn(|j| powers[15 - j]),
+        }
+    }
+}
+
 /// The daemon-wide instance memo: an LRU of span digests to instance
 /// walks, behind the same lock-striped [`ShardedLru`] as the solve
 /// cache. See the module docs for the skim and the digest.
 pub(crate) struct InstanceMemo {
-    /// Per lane, the evaluation point's powers `r^0 ..= r^8` mod p.
-    powers: [[u64; 9]; 2],
+    points: [Point; 2],
     entries: ShardedLru<Entry>,
 }
 
@@ -115,15 +147,8 @@ impl InstanceMemo {
     }
 
     fn with_points(points: [u64; 2], capacity: usize, shards: usize) -> InstanceMemo {
-        let powers = points.map(|r| {
-            let mut powers = [1u64; 9];
-            for i in 1..powers.len() {
-                powers[i] = reduce(u128::from(powers[i - 1]) * u128::from(r));
-            }
-            powers
-        });
         InstanceMemo {
-            powers,
+            points: points.map(Point::new),
             entries: ShardedLru::with_shards(capacity, shards),
         }
     }
@@ -138,91 +163,64 @@ impl InstanceMemo {
         if !matches!(line.get(start), Some(b'{' | b'[')) {
             return None;
         }
+        let end = value_end(line, start)?;
+        Some((end, self.digest(&line[start..end])))
+    }
+
+    /// The digest of `span`: Horner's rule over its zero-padded limbs,
+    /// two blocks per reduction, then the length.
+    fn digest(&self, span: &[u8]) -> SpanDigest {
         let mut lanes = [0u64; 2];
-        let mut depth = 0usize;
-        let mut in_string = false;
-        let mut pos = start;
-        let mut block = start;
-        loop {
-            let block_end = block + BLOCK;
-            let scan_end = block_end.min(line.len());
-            while pos < scan_end {
-                if in_string {
-                    match line[pos] {
-                        b'"' => in_string = false,
-                        // the escaped byte cannot end the string
-                        b'\\' => pos += 1,
-                        _ => {}
-                    }
-                    pos += 1;
-                    continue;
-                }
-                if pos + 8 <= scan_end {
-                    let hits = structural(word(&line[pos..pos + 8]));
-                    if hits == 0 {
-                        pos += 8;
-                        continue;
-                    }
-                    pos += hits.trailing_zeros() as usize / 8;
-                }
-                match line[pos] {
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            let end = pos + 1;
-                            let mut tail = [0u8; BLOCK];
-                            tail[..end - block].copy_from_slice(&line[block..end]);
-                            self.fold(&mut lanes, &tail);
-                            return Some((end, self.finish(lanes, end - start)));
-                        }
-                    }
-                    b'"' => in_string = true,
-                    _ => {}
-                }
-                pos += 1;
+        let pairs = span.chunks_exact(2 * BLOCK);
+        let rest = pairs.remainder();
+        for pair in pairs {
+            self.fold_pair(&mut lanes, pair);
+        }
+        if !rest.is_empty() {
+            let mut padded = [0u8; 2 * BLOCK];
+            padded[..rest.len()].copy_from_slice(rest);
+            if rest.len() > BLOCK {
+                self.fold_pair(&mut lanes, &padded);
+            } else {
+                self.fold(&mut lanes, &padded[..BLOCK]);
             }
-            // a whole block left behind, or the line ended in the value
-            self.fold(&mut lanes, line.get(block..block_end)?);
-            block = block_end;
+        }
+        for (h, point) in lanes.iter_mut().zip(&self.points) {
+            *h = reduce(u128::from(*h) * u128::from(point.r) + span.len() as u128);
+        }
+        SpanDigest {
+            lanes,
+            len: span.len(),
         }
     }
 
-    /// Horner's rule over the eight limbs of one [`BLOCK`]-byte block,
-    /// in both lanes: `h ← h·r^8 + m0·r^7 + … + m7`, reduced once.
+    /// Horner's rule over the sixteen limbs of two blocks, in both
+    /// lanes: `h ← h·r^16 + S` with `S = m0·r^15 + … + m15`, reduced
+    /// once. `S` is summed as a tree of its products, so only the
+    /// multiply-add by `h` waits on the previous pair. Each product is
+    /// below 2^56 · 2^61 = 2^117, so `h·r^16 + S < 2^122 + 16 · 2^117 <
+    /// 2^123`, as `reduce` requires.
+    #[inline]
+    fn fold_pair(&self, lanes: &mut [u64; 2], pair: &[u8]) {
+        let (first, second) = pair.split_at(BLOCK);
+        let (first, second) = (limbs(first), limbs(second));
+        for (h, point) in lanes.iter_mut().zip(&self.points) {
+            let (high, low) = point.desc.split_at(8);
+            let sum = products(&first, high) + products(&second, low);
+            *h = reduce(u128::from(*h) * u128::from(point.r16) + sum);
+        }
+    }
+
+    /// Horner's rule over the eight limbs of one block, in both lanes:
+    /// `h ← h·r^8 + m0·r^7 + … + m7`, reduced once (below 2^122 +
+    /// 8 · 2^117 < 2^123).
     #[inline]
     fn fold(&self, lanes: &mut [u64; 2], block: &[u8]) {
-        let mut w = [0u64; 7];
-        for (w, bytes) in w.iter_mut().zip(block.chunks_exact(8)) {
-            *w = word(bytes);
+        let block = limbs(block);
+        for (h, point) in lanes.iter_mut().zip(&self.points) {
+            let sum = products(&block, &point.desc[8..]);
+            *h = reduce(u128::from(*h) * u128::from(point.r8) + sum);
         }
-        let limbs = [
-            w[0] & LIMB_MASK,
-            (w[0] >> 56 | w[1] << 8) & LIMB_MASK,
-            (w[1] >> 48 | w[2] << 16) & LIMB_MASK,
-            (w[2] >> 40 | w[3] << 24) & LIMB_MASK,
-            (w[3] >> 32 | w[4] << 32) & LIMB_MASK,
-            (w[4] >> 24 | w[5] << 40) & LIMB_MASK,
-            (w[5] >> 16 | w[6] << 48) & LIMB_MASK,
-            w[6] >> 8,
-        ];
-        for (h, powers) in lanes.iter_mut().zip(&self.powers) {
-            // below 2^122 + 8 · 2^117 < 2^123, as `reduce` requires
-            let mut acc = u128::from(*h) * u128::from(powers[8]);
-            for (j, &limb) in limbs.iter().enumerate() {
-                acc += u128::from(limb) * u128::from(powers[7 - j]);
-            }
-            *h = reduce(acc);
-        }
-    }
-
-    /// Appends the span length as the final limb.
-    fn finish(&self, lanes: [u64; 2], len: usize) -> SpanDigest {
-        let mut out = lanes;
-        for (h, powers) in out.iter_mut().zip(&self.powers) {
-            *h = reduce(u128::from(*h) * u128::from(powers[1]) + len as u128);
-        }
-        SpanDigest { lanes: out, len }
     }
 
     /// The walk of the instance whose span digested to `digest`, when
@@ -260,6 +258,129 @@ impl InstanceMemo {
     pub(crate) fn capacity(&self) -> usize {
         self.entries.capacity()
     }
+}
+
+/// The eight 7-byte little-endian limbs of one [`BLOCK`]-byte block.
+#[inline]
+fn limbs(block: &[u8]) -> [u64; 8] {
+    let mut w = [0u64; 7];
+    for (w, bytes) in w.iter_mut().zip(block.chunks_exact(8)) {
+        *w = word(bytes);
+    }
+    [
+        w[0] & LIMB_MASK,
+        (w[0] >> 56 | w[1] << 8) & LIMB_MASK,
+        (w[1] >> 48 | w[2] << 16) & LIMB_MASK,
+        (w[2] >> 40 | w[3] << 24) & LIMB_MASK,
+        (w[3] >> 32 | w[4] << 32) & LIMB_MASK,
+        (w[4] >> 24 | w[5] << 40) & LIMB_MASK,
+        (w[5] >> 16 | w[6] << 48) & LIMB_MASK,
+        w[6] >> 8,
+    ]
+}
+
+/// `Σ limbs[j] · powers[j]`, summed as a balanced tree so the products
+/// do not wait on each other. Below 8 · 2^117.
+#[inline]
+fn products(limbs: &[u64; 8], powers: &[u64]) -> u128 {
+    let p = |j: usize| u128::from(limbs[j]) * u128::from(powers[j]);
+    ((p(0) + p(1)) + (p(2) + p(3))) + ((p(4) + p(5)) + (p(6) + p(7)))
+}
+
+/// The offset just past the bracket that closes the object or array
+/// opening at `line[start]`, by bracket depth; `None` when the line ends
+/// first. Strings are skipped to their closing quote, honoring
+/// backslash escapes; no other grammar is checked.
+fn value_end(line: &[u8], start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    let mut pos = start;
+    loop {
+        pos += next_structural(&line[pos..])?;
+        match line[pos] {
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(pos + 1);
+                }
+            }
+            _ => pos = string_end(line, pos + 1)?,
+        }
+        pos += 1;
+    }
+}
+
+/// The offset of the quote that ends the string whose contents start at
+/// `line[pos]`; `None` when the line ends first.
+fn string_end(line: &[u8], mut pos: usize) -> Option<usize> {
+    loop {
+        match *line.get(pos)? {
+            b'"' => return Some(pos),
+            // the escaped byte cannot end the string
+            b'\\' => pos += 2,
+            _ => pos += 1,
+        }
+    }
+}
+
+/// The offset of the first brace, bracket or quote in `bytes`: 16 bytes
+/// per step with SSE2, which every x86_64 target has.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn next_structural(bytes: &[u8]) -> Option<usize> {
+    use std::arch::x86_64::{
+        _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128,
+        _mm_set1_epi8,
+    };
+    let mut offset = 0;
+    while offset + 16 <= bytes.len() {
+        // SAFETY: SSE2 is in the x86_64 baseline, so every intrinsic
+        // here exists on every such target; the one unaligned load
+        // reads `bytes[offset..offset + 16]`, in bounds by the loop
+        // condition.
+        let mask = unsafe {
+            let v = _mm_loadu_si128(bytes.as_ptr().add(offset).cast());
+            // clearing bit 5 maps `{` onto `[` and `}` onto `]`
+            let folded = _mm_and_si128(v, _mm_set1_epi8(!0x20));
+            _mm_movemask_epi8(_mm_or_si128(
+                _mm_or_si128(
+                    _mm_cmpeq_epi8(folded, _mm_set1_epi8(b'[' as i8)),
+                    _mm_cmpeq_epi8(folded, _mm_set1_epi8(b']' as i8)),
+                ),
+                _mm_cmpeq_epi8(v, _mm_set1_epi8(b'"' as i8)),
+            ))
+        };
+        if mask != 0 {
+            return Some(offset + mask.trailing_zeros() as usize);
+        }
+        offset += 16;
+    }
+    next_structural_portable(&bytes[offset..]).map(|i| offset + i)
+}
+
+/// The offset of the first brace, bracket or quote in `bytes`.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn next_structural(bytes: &[u8]) -> Option<usize> {
+    next_structural_portable(bytes)
+}
+
+/// [`next_structural`] without vector instructions: eight bytes at a
+/// time, then byte by byte. On x86_64 it finishes the last few bytes.
+#[inline]
+fn next_structural_portable(bytes: &[u8]) -> Option<usize> {
+    let mut offset = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let hits = structural(word(chunk));
+        if hits != 0 {
+            return Some(offset + hits.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    bytes[offset..]
+        .iter()
+        .position(|b| matches!(b, b'{' | b'}' | b'[' | b']' | b'"'))
+        .map(|i| offset + i)
 }
 
 /// The little-endian word of eight bytes.
@@ -556,6 +677,57 @@ mod tests {
                 } else {
                     assert_eq!(hits, 0, "{byte:#x} at {at}");
                 }
+            }
+        }
+    }
+
+    /// The first brace, bracket or quote by definition.
+    fn first_structural(bytes: &[u8]) -> Option<usize> {
+        bytes
+            .iter()
+            .position(|b| matches!(b, b'{' | b'}' | b'[' | b']' | b'"'))
+    }
+
+    #[test]
+    fn the_vector_and_portable_structural_searches_agree() {
+        // every byte value at every offset of a 48-byte window, which
+        // covers whole 16-byte steps and a portable tail
+        for byte in 0..=255u8 {
+            for at in 0..48 {
+                let mut bytes = [b'7'; 48];
+                bytes[at] = byte;
+                let expected = first_structural(&bytes);
+                assert_eq!(next_structural(&bytes), expected, "{byte:#x} at {at}");
+                assert_eq!(
+                    next_structural_portable(&bytes),
+                    expected,
+                    "{byte:#x} at {at}"
+                );
+            }
+        }
+        // seeded buffers of every density, searched from every start
+        let mut gen = Gen::new(0x57_2C7);
+        for case in 0..300 {
+            let len = gen.size(0, 200);
+            let density = [0.0, 0.005, 0.05, 0.4][case % 4];
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    if gen.flip(density) {
+                        b"{}[]\""[gen.size(0, 4)]
+                    } else {
+                        gen.int(0, 255) as u8
+                    }
+                })
+                .collect();
+            for from in 0..=len.min(40) {
+                let tail = &bytes[from..];
+                let expected = first_structural(tail);
+                assert_eq!(next_structural(tail), expected, "case {case}, from {from}");
+                assert_eq!(
+                    next_structural_portable(tail),
+                    expected,
+                    "case {case}, from {from}"
+                );
             }
         }
     }

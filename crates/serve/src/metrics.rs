@@ -1,8 +1,9 @@
 //! The `stats` verb's payload: one JSON snapshot of everything the
 //! daemon can observe about itself — server lifecycle, admission
 //! counters, solver service statistics (cache hit rate, per-engine
-//! wall time, worker utilization), the thread cache's counts and the
-//! end-to-end latency histogram's percentiles.
+//! wall time, worker utilization), the `pareto` verb's and the front
+//! cache's counts, the thread cache's counts and the end-to-end latency
+//! histogram's percentiles.
 //!
 //! Layout (all durations in milliseconds unless suffixed `_us`):
 //!
@@ -20,6 +21,7 @@
 //!  "cache":{"hits":3,"misses":6,"insertions":5,"evictions":0,
 //!           "shards":8},
 //!  "instance_memo":{"hits":2,"misses":7,"entries":5,"capacity":1024},
+//!  "fronts":{"requests":2,"hits":1,"misses":1,"entries":1},
 //!  "threads":{"spawned":3,"reused":17,"parked":2,"writers":0},
 //!  "hedge":{"races":2,"primary_wins":1,"secondary_wins":1,
 //!           "losers_cancelled":2,"window_rescues":0},
@@ -37,14 +39,17 @@
 //! because none was parked, `reused` jobs handed to a parked thread,
 //! `parked` the threads parked now, and `writers` the writer jobs
 //! started because an answer did not fit the socket buffer at once.
-//! `cache` and `instance_memo` are `null` when the daemon runs
-//! cacheless; latency percentiles are `null` until the first request
-//! is served. The
-//! `hedge` counters stay zero until the first `engine: "hedged"`
-//! request; `escalation` counters stay zero unless the daemon runs
-//! with `--escalate`.
+//! `fronts` counts the `pareto` requests answered (a front or an
+//! error), and the front cache's lookups that found a front (`hits`)
+//! or did not (`misses`) and the fronts it holds (`entries`).
+//! `cache` and `instance_memo` are `null`, and so are the front cache's
+//! three counts, when the daemon runs cacheless; latency percentiles
+//! are `null` until the first request is served. The `hedge` counters
+//! stay zero until the first `engine: "hedged"` request; `escalation`
+//! counters stay zero unless the daemon runs with `--escalate`.
 
 use crate::server::ServerShared;
+use repliflow_multicrit::FrontSolver;
 use repliflow_solver::{HistogramSnapshot, SolverService};
 use repliflow_sync::sync::atomic::Ordering;
 use serde::Value;
@@ -78,7 +83,11 @@ fn latency_section(snapshot: &HistogramSnapshot) -> Value {
 }
 
 /// Builds the full metrics snapshot served by the `stats` verb.
-pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value {
+pub(crate) fn snapshot(
+    service: &SolverService,
+    front: &FrontSolver,
+    shared: &ServerShared,
+) -> Value {
     let admission = shared.admission.stats();
     let config = shared.admission.config();
     let stats = service.stats();
@@ -118,6 +127,18 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
             ])
         }
     };
+    let front_cache = front.cache_stats();
+    let count = |n: Option<u64>| n.map_or(Value::Null, |n| Value::Int(n as i128));
+    let fronts = Value::Object(vec![
+        (
+            "requests".into(),
+            // relaxed: monotone counter for a stats page.
+            Value::Int(shared.fronts_answered.load(Ordering::Relaxed) as i128),
+        ),
+        ("hits".into(), count(front_cache.map(|c| c.hits))),
+        ("misses".into(), count(front_cache.map(|c| c.misses))),
+        ("entries".into(), count(front.cache_len().map(|n| n as u64))),
+    ]);
     let threads = shared.threads.stats();
     let threads = Value::Object(vec![
         ("spawned".into(), Value::Int(threads.spawned as i128)),
@@ -222,6 +243,7 @@ pub(crate) fn snapshot(service: &SolverService, shared: &ServerShared) -> Value 
         ),
         ("cache".into(), cache),
         ("instance_memo".into(), instance_memo),
+        ("fronts".into(), fronts),
         ("threads".into(), threads),
         ("hedge".into(), hedge),
         ("escalation".into(), escalation),

@@ -63,6 +63,7 @@ use serde::DeserializeStream;
 use serde::Value;
 use serde_json::parse_value;
 use std::borrow::Cow;
+use std::fmt::Write;
 use std::ops::Range;
 
 /// The one protocol version this build speaks.
@@ -704,19 +705,89 @@ pub fn err_response(id: &Value, code: ErrorCode, message: &str) -> String {
 /// integration suite). The siblings carry serving metadata and float
 /// renderings that are excluded from the canonical form.
 ///
-/// The daemon renders the same line with [`report_ok_response`], which
-/// splices the canonical text in instead of building this tree.
+/// The daemon sends the same line as the [`report_ok_parts`], which
+/// borrow the canonical text instead of building this tree.
 ///
 /// [`canonical_json`]: SolveReport::canonical_json
 pub fn report_to_wire(report: &SolveReport) -> Value {
     wire_object(report.canonical_text(), report_siblings(report))
 }
 
-/// `ok_response(id, report_to_wire(report))`, byte for byte, without
-/// parsing the report's canonical text back into a tree: the memoized
-/// text is copied into the line as it is.
+/// The three parts of an `ok` answer line, in the order they go out:
+/// concatenated, they are `ok_response(id, wire_object(canonical,
+/// siblings))` and its `\n`. Only the head is rendered per answer.
+#[derive(Clone, Debug)]
+pub struct OkParts<'a> {
+    /// `{"v":1,"id":<id>,"ok":{"canonical":`.
+    pub head: String,
+    /// The canonical text, copied nowhere.
+    pub canonical: &'a str,
+    /// The sibling fields, the `}` of the payload and of the envelope,
+    /// and the `\n`.
+    pub tail: &'a str,
+}
+
+impl<'a> OkParts<'a> {
+    /// The parts of the answer to request `id` whose payload is
+    /// `canonical` followed by the rendered `tail` (see [`ok_tail`]).
+    /// `canonical` is compact JSON from our own serializer, which a
+    /// parse and re-render reproduces byte for byte.
+    fn new(id: &Value, canonical: &'a str, tail: &'a str) -> OkParts<'a> {
+        match serde_json::to_string(id) {
+            Ok(id) if !tail.is_empty() => {
+                let mut head = String::with_capacity(32 + id.len());
+                let _ = write!(
+                    head,
+                    "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"ok\":{{\"canonical\":"
+                );
+                OkParts {
+                    head,
+                    canonical,
+                    tail,
+                }
+            }
+            _ => OkParts {
+                head: fallback_error_line() + "\n",
+                canonical: "",
+                tail: "",
+            },
+        }
+    }
+
+    /// The parts as the byte slices of one vectored send.
+    pub fn slices(&self) -> [&[u8]; 3] {
+        [
+            self.head.as_bytes(),
+            self.canonical.as_bytes(),
+            self.tail.as_bytes(),
+        ]
+    }
+
+    /// The whole answer line, `\n` included.
+    pub fn concat(&self) -> String {
+        [self.head.as_str(), self.canonical, self.tail].concat()
+    }
+
+    /// The whole answer line without its `\n`.
+    fn line(&self) -> String {
+        let mut line = self.concat();
+        line.pop();
+        line
+    }
+}
+
+/// The parts of the answer to request `id` with `report`: the canonical
+/// text and the tail are the report's memos, so a cached report's answer
+/// renders only its head (see [`SolveReport::serving_tail`]).
+pub fn report_ok_parts<'a>(id: &Value, report: &'a SolveReport) -> OkParts<'a> {
+    let tail = report.serving_tail(|report| ok_tail(report_siblings(report)));
+    OkParts::new(id, report.canonical_text(), tail)
+}
+
+/// `ok_response(id, report_to_wire(report))`, byte for byte: the
+/// [`report_ok_parts`] concatenated, without the `\n`.
 pub fn report_ok_response(id: &Value, report: &SolveReport) -> String {
-    ok_response_with_canonical(id, report.canonical_text(), report_siblings(report))
+    report_ok_parts(id, report).line()
 }
 
 /// The fields of a solve payload after `canonical`.
@@ -777,7 +848,9 @@ pub fn front_to_wire(report: &FrontReport) -> Value {
 /// `ok_response(id, front_to_wire(report))`, byte for byte, with the
 /// canonical text spliced in as [`report_ok_response`] does.
 pub fn front_ok_response(id: &Value, report: &FrontReport) -> String {
-    ok_response_with_canonical(id, &report.canonical_json(), front_siblings(report))
+    let canonical = report.canonical_json();
+    let tail = ok_tail(front_siblings(report));
+    OkParts::new(id, &canonical, &tail).line()
 }
 
 /// The fields of a pareto payload after `canonical`.
@@ -806,40 +879,25 @@ fn wire_object(canonical: &str, siblings: Vec<(String, Value)>) -> Value {
     Value::Object(fields)
 }
 
-/// The shared envelope of the spliced responses: the line
-/// `ok_response(id, wire_object(canonical, siblings))` renders, built
-/// by copying `canonical` (compact JSON from our own serializer, which
-/// a parse and re-render reproduces byte for byte) between the
-/// rendered envelope head and the rendered siblings.
-fn ok_response_with_canonical(
-    id: &Value,
-    canonical: &str,
-    siblings: Vec<(String, Value)>,
-) -> String {
-    let (Ok(id), Ok(siblings)) = (
-        serde_json::to_string(id),
-        serde_json::to_string(&Value::Object(siblings)),
-    ) else {
-        return fallback_error_line();
+/// What follows the canonical text in an answer line whose payload is
+/// `wire_object(canonical, siblings)`: the rendered siblings, the two
+/// closing braces and the `\n`. Empty only if rendering fails.
+fn ok_tail(siblings: Vec<(String, Value)>) -> String {
+    let Ok(siblings) = serde_json::to_string(&Value::Object(siblings)) else {
+        return String::new();
     };
-    // 32 bytes of envelope, and one for the `\n` the daemon appends, so
-    // the line goes out from this buffer without growing it.
-    let mut line = String::with_capacity(33 + id.len() + canonical.len() + siblings.len());
-    line.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":"));
-    line.push_str(&id);
-    line.push_str(",\"ok\":{\"canonical\":");
-    line.push_str(canonical);
+    let mut tail = String::with_capacity(siblings.len() + 3);
     // `siblings` renders as `{...}`: its fields continue the payload
     // object after `canonical`, and its `}` closes it.
     match siblings.strip_prefix('{') {
         Some(fields) if fields != "}" => {
-            line.push(',');
-            line.push_str(fields);
+            tail.push(',');
+            tail.push_str(fields);
         }
-        _ => line.push('}'),
+        _ => tail.push('}'),
     }
-    line.push('}');
-    line
+    tail.push_str("}\n");
+    tail
 }
 
 #[cfg(test)]

@@ -16,17 +16,23 @@
 //! Answers leave through the connection's [`Outbox`]: whichever thread
 //! holds an answer sends it straight to the socket — the connection
 //! thread for what it answers inline, a pool worker's callback for a
-//! miss, the front job for a front. The send is one non-blocking
-//! `send(2)` of the whole line and its `\n`, under the outbox lock. If
-//! the line does not go out whole (the socket buffer is full), the rest
-//! is queued and a **writer** job is started on the thread cache; the
-//! writer finishes the queue with blocking writes and hands its thread
-//! back. Only the writer ever blocks on the peer, so the connection
-//! thread keeps draining a client that pipelines a large batch before
-//! it reads, and a pool worker never waits on a slow client. While a
-//! writer holds the stream, every other answer is queued behind it, so
-//! lines never interleave. On targets other than Linux there is no
-//! direct send: every answer is queued and goes through the writer.
+//! miss, the front job for a front. A `solve` answer is three parts
+//! ([`OkParts`](crate::protocol::OkParts)): a head rendered for the
+//! request id, the report's memoized canonical text, borrowed from the
+//! shared report and never copied, and the report's memoized tail
+//! (sibling fields, closing braces, `\n`). Every other answer is one
+//! line and its `\n`. The send is one non-blocking `sendmsg(2)` of all
+//! the parts, under the outbox lock. Only bytes that do not go out (the
+//! socket buffer is full) are copied, from the exact offset where the
+//! send stopped, into a queue, and a **writer** job is started on the
+//! thread cache; the writer finishes the queue with blocking writes and
+//! hands its thread back. Only the writer ever blocks on the peer, so
+//! the connection thread keeps draining a client that pipelines a large
+//! batch before it reads, and a pool worker never waits on a slow
+//! client. While a writer holds the stream, every other answer is
+//! queued behind it, so lines never interleave. On targets other than
+//! Linux there is no direct send: every answer is queued and goes
+//! through the writer.
 //!
 //! Answers go out in *completion* order — the echoed request `id` is
 //! the client's correlation key, so one connection can pipeline many
@@ -54,8 +60,9 @@
 //! fingerprint from the remembered instance walk
 //! ([`request_fingerprint`]) and asks the cache with
 //! [`SolverService::lookup_keyed`]. A repeated hit thus costs a skim, a
-//! digest, a lookup and one `send(2)`: no decode, no fingerprint, no
-//! pool round trip, no thread handoff. A memo miss, or a memo hit whose
+//! digest, a lookup, a rendered id and one `sendmsg(2)`: no decode, no
+//! fingerprint, no pool round trip, no thread handoff, and no copy of
+//! the cached answer. A memo miss, or a memo hit whose
 //! lookup misses, decodes the instance as before
 //! ([`SolverService::solve_detached`] or
 //! [`SolverService::compute_detached`]), and each successful decode
@@ -89,8 +96,8 @@ use crate::admission::{Admission, AdmissionConfig, Ticket};
 use crate::framing::{Frame, LineBuffer};
 use crate::memo::InstanceMemo;
 use crate::protocol::{
-    err_response, front_ok_response, ok_response, parse_request_memo, report_ok_response,
-    ErrorCode, ScannedInstance, SolveBody, Verb, DEFAULT_MAX_LINE_BYTES,
+    err_response, front_ok_response, ok_response, parse_request_memo, report_ok_parts, ErrorCode,
+    ScannedInstance, SolveBody, Verb, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::{metrics, signal};
 use repliflow_multicrit::{FrontRequest, FrontSolver};
@@ -204,6 +211,9 @@ pub(crate) struct ServerShared {
     pub(crate) started: Instant,
     pub(crate) connections_total: AtomicU64,
     pub(crate) connections_open: AtomicUsize,
+    /// `pareto` requests answered by their front job (a front or an
+    /// error).
+    pub(crate) fronts_answered: AtomicU64,
     max_line_bytes: usize,
     default_budget: Budget,
     /// The instance memo (see [`crate::memo`]), capped at the solve
@@ -300,6 +310,7 @@ impl Server {
                 started: Instant::now(),
                 connections_total: AtomicU64::new(0),
                 connections_open: AtomicUsize::new(0),
+                fronts_answered: AtomicU64::new(0),
                 max_line_bytes: config.max_line_bytes,
                 default_budget: config.default_budget,
                 memo: (config.cache_capacity > 0)
@@ -467,13 +478,21 @@ impl<'a> LineReader<'a> {
     }
 }
 
-/// The line for a solve's outcome.
-fn solve_response(id: &Value, result: Result<Arc<SolveReport>, SolveError>) -> String {
+/// Renders the answer to a solve and hands it to `send`: a report's
+/// three [`OkParts`](crate::protocol::OkParts), or an error line and
+/// its `\n`.
+fn answer_solve(
+    id: &Value,
+    result: Result<Arc<SolveReport>, SolveError>,
+    send: impl FnOnce(&[&[u8]]),
+) {
     match result {
-        Ok(report) => report_ok_response(id, &report),
+        Ok(report) => send(&report_ok_parts(id, &report).slices()),
         Err(error) => {
             let (code, message) = ErrorCode::of_solve_error(&error);
-            err_response(id, code, &message)
+            let mut line = err_response(id, code, &message);
+            line.push('\n');
+            send(&[line.as_bytes()]);
         }
     }
 }
@@ -556,7 +575,7 @@ fn handle_line(
             ));
         }
         Verb::Stats => {
-            outbox.send(ok_response(&id, metrics::snapshot(service, shared)));
+            outbox.send(ok_response(&id, metrics::snapshot(service, front, shared)));
         }
         Verb::Shutdown => {
             // Answer first, then raise the flag: the connection closes
@@ -590,6 +609,7 @@ fn handle_line(
             let front = Arc::clone(front);
             let reply = outbox.reply();
             let front_id = id.clone();
+            let answered = Arc::clone(shared);
             // A front solve is a *sequence* of inner solves; running it
             // on the connection thread would stall pipelined siblings
             // behind the whole sweep, so it runs as a job of its own.
@@ -605,6 +625,8 @@ fn handle_line(
                         err_response(&front_id, code, &message)
                     }
                 };
+                // relaxed: a monotone counter for `stats` only.
+                answered.fronts_answered.fetch_add(1, Ordering::Relaxed);
                 // Same release-before-answer ordering as solve.
                 drop(ticket);
                 reply.send(response);
@@ -662,8 +684,10 @@ fn handle_solve(
             let key = request_fingerprint(walk, engine, &budget, validate);
             match service.lookup_keyed(key, &budget, deadline, None) {
                 Lookup::Answered(result) => {
-                    drop(ticket);
-                    outbox.send(solve_response(&id, result));
+                    answer_solve(&id, result, |parts| {
+                        drop(ticket);
+                        outbox.send_parts(parts);
+                    });
                     return;
                 }
                 Lookup::Miss(miss) => Some(miss),
@@ -691,10 +715,11 @@ fn handle_solve(
     let reply = outbox.reply();
     let pool_id = id.clone();
     let on_done = move |result| {
-        let response = solve_response(&pool_id, result);
-        // Release the slot before sending the answer (see above).
-        drop(ticket);
-        reply.send(response);
+        answer_solve(&pool_id, result, |parts| {
+            // Release the slot before sending the answer (see above).
+            drop(ticket);
+            reply.send_parts(parts);
+        });
     };
     match miss {
         Some(miss) => service.compute_detached(request, miss, on_done),
@@ -702,7 +727,7 @@ fn handle_solve(
             // An inline answer has dropped `on_done`, and the ticket in
             // it, before it returns.
             if let Some(result) = service.solve_detached(request, on_done) {
-                outbox.send(solve_response(&id, result));
+                answer_solve(&id, result, |parts| outbox.send_parts(parts));
             }
         }
     }
@@ -751,22 +776,53 @@ const MSG_DONTWAIT: i32 = 0x40;
 #[cfg(target_os = "linux")]
 const MSG_NOSIGNAL: i32 = 0x4000;
 
+/// The most parts one [`Outbox::send_parts`] carries: an answer's head,
+/// its canonical text and its tail.
+pub const MAX_PARTS: usize = 3;
+
+/// `struct iovec` as Linux lays it out: one buffer of a vectored send.
+#[cfg(target_os = "linux")]
+#[derive(Clone, Copy)]
+#[repr(C)]
+struct IoVec {
+    base: *const u8,
+    len: usize,
+}
+
+/// `struct msghdr` as 64-bit Linux glibc lays it out (`repr(C)` puts
+/// the padding after `name_len` and `flags` where C does).
+#[cfg(target_os = "linux")]
+#[repr(C)]
+struct MsgHdr {
+    name: *mut u8,
+    name_len: u32,
+    iov: *const IoVec,
+    iov_len: usize,
+    control: *mut u8,
+    control_len: usize,
+    flags: i32,
+}
+
 #[cfg(target_os = "linux")]
 extern "C" {
-    /// POSIX `send(2)` (the workspace vendors no `libc`): sends up to
-    /// `len` bytes from `buf` on socket `fd`, returns the count sent or
-    /// -1 with `errno` set.
-    fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+    /// POSIX `sendmsg(2)` (the workspace vendors no `libc`): sends up
+    /// to the total length of the `msg.iov` buffers, in order, on socket
+    /// `fd`; returns the count sent or -1 with `errno` set.
+    fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
 }
 
 /// Where an [`Outbox`]'s bytes go. The daemon's sink is the
-/// connection's [`TcpStream`]; the model checks
-/// (`tests/modelcheck_drain.rs`) use a fake that takes a few bytes at a
+/// connection's [`TcpStream`]; the tests and the model checks
+/// (`tests/modelcheck_drain.rs`) use fakes that take a few bytes at a
 /// time.
 pub trait Sink: Send + Sync + 'static {
-    /// Sends a prefix of `bytes` without blocking and returns its
-    /// length; `WouldBlock` when nothing fits now.
-    fn try_send(&self, bytes: &[u8]) -> std::io::Result<usize>;
+    /// Sends a prefix of the concatenation of `parts` (at most
+    /// [`MAX_PARTS`] of them) without blocking and returns its length;
+    /// `WouldBlock` when nothing fits now. The default sends nothing,
+    /// so every answer is queued for the writer.
+    fn try_send_parts(&self, _parts: &[&[u8]]) -> std::io::Result<usize> {
+        Err(ErrorKind::WouldBlock.into())
+    }
 
     /// Sends all of `bytes`, blocking while the peer does not take
     /// them (up to the socket's write timeout).
@@ -774,29 +830,40 @@ pub trait Sink: Send + Sync + 'static {
 }
 
 impl Sink for TcpStream {
-    /// One `send(2)` with `MSG_DONTWAIT | MSG_NOSIGNAL`.
+    /// One `sendmsg(2)` of every part with `MSG_DONTWAIT |
+    /// MSG_NOSIGNAL`. Off Linux there is no direct send: the default
+    /// leaves every answer to the writer.
     #[cfg(target_os = "linux")]
-    fn try_send(&self, bytes: &[u8]) -> std::io::Result<usize> {
+    fn try_send_parts(&self, parts: &[&[u8]]) -> std::io::Result<usize> {
         use std::os::fd::AsRawFd;
-        // SAFETY: `send` is the libc entry point with this C signature;
-        // `bytes` is a live slice of `bytes.len()` readable bytes for
-        // the whole call, and the descriptor is this stream's own open
-        // socket, which `&self` keeps open.
-        let sent = unsafe {
-            send(
-                self.as_raw_fd(),
-                bytes.as_ptr(),
-                bytes.len(),
-                MSG_DONTWAIT | MSG_NOSIGNAL,
-            )
+        let mut iov = [IoVec {
+            base: std::ptr::null(),
+            len: 0,
+        }; MAX_PARTS];
+        for (slot, part) in iov.iter_mut().zip(parts) {
+            *slot = IoVec {
+                base: part.as_ptr(),
+                len: part.len(),
+            };
+        }
+        let msg = MsgHdr {
+            name: std::ptr::null_mut(),
+            name_len: 0,
+            iov: iov.as_ptr(),
+            iov_len: parts.len().min(MAX_PARTS),
+            control: std::ptr::null_mut(),
+            control_len: 0,
+            flags: 0,
         };
+        // SAFETY: `sendmsg` is the libc entry point with this C
+        // signature, and `MsgHdr` and `IoVec` have the C layout (pinned
+        // by a unit test). `msg` names no address and no control data;
+        // its `iov_len` entries each point at a live slice of `len`
+        // readable bytes that `parts` keeps borrowed for the whole
+        // call, and the kernel only reads them. The descriptor is this
+        // stream's own open socket, which `&self` keeps open.
+        let sent = unsafe { sendmsg(self.as_raw_fd(), &msg, MSG_DONTWAIT | MSG_NOSIGNAL) };
         usize::try_from(sent).map_err(|_| std::io::Error::last_os_error())
-    }
-
-    /// No direct send off Linux: every answer goes through the writer.
-    #[cfg(not(target_os = "linux"))]
-    fn try_send(&self, _bytes: &[u8]) -> std::io::Result<usize> {
-        Err(ErrorKind::WouldBlock.into())
     }
 
     fn send_all(&self, bytes: &[u8]) -> std::io::Result<()> {
@@ -827,8 +894,8 @@ pub struct Outbox<S: Sink> {
 
 #[derive(Default)]
 struct OutboxState {
-    /// Answer bytes a writer has yet to send: the rest of the line whose
-    /// direct send fell short, then whole lines in order.
+    /// Answer bytes a writer has yet to send: the rest of the answer
+    /// whose direct send fell short, then whole answers in order.
     queue: Vec<u8>,
     /// Whether a writer job holds the stream.
     writer: bool,
@@ -858,21 +925,28 @@ impl<S: Sink> Outbox<S> {
     }
 
     /// Sends one answer line; the `\n` is appended here, in the same
-    /// buffer, so a direct send is one syscall. Never blocks on the
-    /// peer: what does not go out at once is queued for a writer.
+    /// buffer, so a direct send is one syscall.
     pub fn send(self: &Arc<Self>, mut line: String) {
         line.push('\n');
-        let line = line.as_bytes();
+        self.send_parts(&[line.as_bytes()]);
+    }
+
+    /// Sends one answer given as up to [`MAX_PARTS`] parts that
+    /// together make whole lines, with one vectored send. Never blocks
+    /// on the peer: only what does not go out at once is copied, into
+    /// the queue for a writer.
+    pub fn send_parts(self: &Arc<Self>, parts: &[&[u8]]) {
+        debug_assert!(parts.len() <= MAX_PARTS, "{} parts", parts.len());
         let mut state = lock(&self.state);
         if state.dead {
             return;
         }
         if state.writer {
-            state.queue.extend_from_slice(line);
+            queue_from(&mut state.queue, parts, 0);
             return;
         }
         let sent = loop {
-            match self.sink.try_send(line) {
+            match self.sink.try_send_parts(parts) {
                 Ok(sent) => break sent,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
@@ -882,10 +956,10 @@ impl<S: Sink> Outbox<S> {
                 }
             }
         };
-        if sent >= line.len() {
+        if sent >= parts.iter().map(|part| part.len()).sum() {
             return;
         }
-        state.queue.extend_from_slice(&line[sent..]);
+        queue_from(&mut state.queue, parts, sent);
         state.writer = true;
         drop(state);
         self.start_writer();
@@ -968,6 +1042,19 @@ impl<S: Sink> Outbox<S> {
     }
 }
 
+/// Appends the concatenation of `parts` to `queue`, from byte `skip` of
+/// it on: the rest of an answer whose first `skip` bytes went out.
+fn queue_from(queue: &mut Vec<u8>, parts: &[&[u8]], mut skip: usize) {
+    for part in parts {
+        if skip >= part.len() {
+            skip -= part.len();
+            continue;
+        }
+        queue.extend_from_slice(&part[skip..]);
+        skip = 0;
+    }
+}
+
 /// An outstanding answer of an [`Outbox`], sent from another thread;
 /// see [`Outbox::reply`]. Dropping it unsent also releases the
 /// connection's close.
@@ -979,6 +1066,12 @@ impl<S: Sink> Reply<S> {
     /// Sends the answer (as [`Outbox::send`]) and retires the handle.
     pub fn send(self, line: String) {
         self.outbox.send(line);
+    }
+
+    /// Sends the answer (as [`Outbox::send_parts`]) and retires the
+    /// handle.
+    pub fn send_parts(self, parts: &[&[u8]]) {
+        self.outbox.send_parts(parts);
     }
 }
 
@@ -1157,6 +1250,153 @@ impl ThreadCache {
                 state.idle -= 1;
                 return None;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use repliflow_core::gen::Gen;
+    use std::io::Read;
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn the_ffi_structs_have_the_c_layout() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(size_of::<IoVec>(), 16);
+        assert_eq!(size_of::<MsgHdr>(), 56);
+        assert_eq!(offset_of!(IoVec, len), 8);
+        assert_eq!(offset_of!(MsgHdr, iov), 16);
+        assert_eq!(offset_of!(MsgHdr, iov_len), 24);
+        assert_eq!(offset_of!(MsgHdr, control), 32);
+        assert_eq!(offset_of!(MsgHdr, control_len), 40);
+        assert_eq!(offset_of!(MsgHdr, flags), 48);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_vectored_send_delivers_the_parts_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connects");
+        let (server, _) = listener.accept().expect("accepts");
+        let parts: [&[u8]; 3] = [b"{\"head\":", &[b'7'; 5000], b"}\n"];
+        let sent = server.try_send_parts(&parts).expect("loopback takes 5 KB");
+        assert_eq!(sent, 5010);
+        drop(server);
+        let mut got = Vec::new();
+        (&client).read_to_end(&mut got).expect("reads");
+        assert_eq!(got, parts.concat());
+    }
+
+    /// A socket stand-in that takes a seeded prefix of each non-blocking
+    /// send: nothing (would-block), a cut inside one of the parts, or
+    /// everything. Blocking sends take everything.
+    struct StingySink {
+        gen: Mutex<Gen>,
+        taken: Mutex<Vec<u8>>,
+    }
+
+    impl Sink for StingySink {
+        fn try_send_parts(&self, parts: &[&[u8]]) -> std::io::Result<usize> {
+            let whole = parts.concat();
+            let mut gen = lock(&self.gen);
+            let pick = gen.size(0, parts.len() + 1);
+            let cut = if pick == 0 {
+                0
+            } else if pick <= parts.len() && !parts[pick - 1].is_empty() {
+                let before: usize = parts[..pick - 1].iter().map(|part| part.len()).sum();
+                before + gen.size(0, parts[pick - 1].len() - 1)
+            } else {
+                whole.len()
+            };
+            if cut == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            lock(&self.taken).extend_from_slice(&whole[..cut]);
+            Ok(cut)
+        }
+
+        fn send_all(&self, bytes: &[u8]) -> std::io::Result<()> {
+            lock(&self.taken).extend_from_slice(bytes);
+            Ok(())
+        }
+    }
+
+    /// Answer `k` of `sender`: a head, a canonical text of seeded length
+    /// and a tail, which make one line.
+    fn answer(gen: &mut Gen, sender: usize, k: usize) -> [String; 3] {
+        [
+            format!("{{\"v\":1,\"id\":\"{sender}-{k}\",\"ok\":{{\"canonical\":"),
+            format!("\"{}\"", "c".repeat(gen.size(0, 300))),
+            "}}\n".to_string(),
+        ]
+    }
+
+    #[test]
+    fn a_stingy_sink_gets_every_answer_whole_and_in_order() {
+        for seed in 0..40 {
+            let threads = ThreadCache::new("outbox-test", Duration::from_millis(50), 4);
+            let sink = StingySink {
+                gen: Mutex::new(Gen::new(0x5719_0000 + seed)),
+                taken: Mutex::new(Vec::new()),
+            };
+            let outbox = Arc::new(Outbox::new(sink, Arc::clone(&threads)));
+            let mut gen = Gen::new(seed);
+            // the connection thread's answers, and two callbacks'
+            let senders: Vec<Vec<[String; 3]>> = (0..3)
+                .map(|sender| (0..20).map(|k| answer(&mut gen, sender, k)).collect())
+                .collect();
+            let callbacks: Vec<_> = senders[1..]
+                .iter()
+                .map(|answers| {
+                    let reply = outbox.reply();
+                    let outbox = Arc::clone(&outbox);
+                    let answers = answers.clone();
+                    repliflow_sync::thread::spawn(move || {
+                        let (last, rest) = answers.split_last().expect("answers");
+                        for parts in rest {
+                            outbox.send_parts(&parts.each_ref().map(|part| part.as_bytes()));
+                        }
+                        reply.send_parts(&last.each_ref().map(|part| part.as_bytes()));
+                    })
+                })
+                .collect();
+            for (k, parts) in senders[0].iter().enumerate() {
+                if k % 5 == 4 {
+                    // a whole line through the one-part path
+                    let mut line = parts.concat();
+                    line.pop();
+                    outbox.send(line);
+                } else {
+                    outbox.send_parts(&parts.each_ref().map(|part| part.as_bytes()));
+                }
+            }
+            outbox.close();
+            for callback in callbacks {
+                callback.join().expect("callback joins");
+            }
+            let taken = String::from_utf8(lock(&outbox.sink().taken).clone()).expect("UTF-8");
+            assert!(taken.ends_with('\n'), "seed {seed}: a torn last line");
+            let lines: Vec<&str> = taken.split_terminator('\n').collect();
+            assert_eq!(
+                lines.len(),
+                60,
+                "seed {seed}: a line lost, torn or repeated"
+            );
+            for (sender, answers) in senders.iter().enumerate() {
+                let own: Vec<&str> = lines
+                    .iter()
+                    .copied()
+                    .filter(|line| line.contains(&format!("\"id\":\"{sender}-")))
+                    .collect();
+                let expected: Vec<String> = answers
+                    .iter()
+                    .map(|parts| parts.concat().trim_end().to_string())
+                    .collect();
+                assert_eq!(own, expected, "seed {seed}, sender {sender}");
+            }
+            threads.drain();
         }
     }
 }

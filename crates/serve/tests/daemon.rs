@@ -209,6 +209,16 @@ fn pareto_roundtrips_are_byte_identical_to_in_process_fronts() {
         )
         .expect("capped remote front");
     assert!(capped.n_points <= 1);
+
+    // Every front job's answer is counted, and so is each front-cache
+    // lookup: one hit, a miss per other request.
+    let goldens = golden_instances().len() as i128;
+    let stats = client.stats().expect("stats verb");
+    assert_eq!(stat(&stats, "fronts", "requests"), Some(goldens + 2));
+    assert_eq!(stat(&stats, "fronts", "hits"), Some(1));
+    assert_eq!(stat(&stats, "fronts", "misses"), Some(goldens + 1));
+    let entries = stat(&stats, "fronts", "entries").expect("front cache entries");
+    assert!((1..=goldens + 1).contains(&entries), "{entries} entries");
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
@@ -933,6 +943,61 @@ fn repeated_large_solves_are_answered_from_the_instance_memo() {
     assert_eq!(stat(&stats, "service", "computed"), Some(2));
     assert_eq!(stat(&stats, "cache", "hits"), Some(2));
     assert_eq!(stat(&stats, "cache", "misses"), Some(2));
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A large answer goes out in three parts with one vectored send, the
+/// rest through a writer: the cold answer and the warm hit are both the
+/// tree-built line, byte for byte.
+#[test]
+fn a_large_answer_is_the_tree_line_byte_for_byte_cold_and_warm() {
+    use repliflow_serve::protocol::{ok_response, report_to_wire};
+    use repliflow_solver::{Provenance, SolveReport};
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: Some(1),
+        ..ServerConfig::default()
+    })
+    .expect("server binds an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = server.handle();
+    let service = repliflow_sync::sync::Arc::clone(server.service());
+    let join = repliflow_sync::thread::spawn(move || server.run());
+
+    let instance = long_pipeline_json(40_000);
+    let (mut stream, mut reader) = connect(addr);
+    let mut fetch = |id: &str| {
+        let line = format!(r#"{{"v":1,"id":"{id}","verb":"solve","instance":{instance}}}"#);
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut answer = String::new();
+        assert!(reader.read_line(&mut answer).expect("answer read") > 0);
+        answer
+    };
+    let cold = fetch("cold");
+    let warm = fetch("warm");
+    assert!(cold.len() >= 256 << 10, "only {} bytes", cold.len());
+    let stats = RemoteClient::connect(addr).unwrap().stats().expect("stats");
+    assert_eq!(stat(&stats, "instance_memo", "misses"), Some(1));
+    assert_eq!(stat(&stats, "instance_memo", "hits"), Some(1));
+    assert_eq!(stat(&stats, "cache", "hits"), Some(1));
+
+    // The oracle: the daemon's own cached report, and the computed one
+    // it was copied from (the same fields but the provenance).
+    let request = SolveRequest::new(serde_json::from_str(&instance).expect("instance parses"))
+        .budget(Budget::default().quality(Quality::Balanced));
+    let cached = service.solve(&request).expect("cached in process");
+    assert_eq!(cached.provenance, Provenance::Cached);
+    let computed = SolveReport {
+        provenance: Provenance::Computed,
+        ..(*cached).clone()
+    };
+    let oracle = |id: &str, report: &SolveReport| {
+        ok_response(&Value::String(id.into()), report_to_wire(report)) + "\n"
+    };
+    assert!(cold == oracle("cold", &computed), "the cold answer differs");
+    assert!(warm == oracle("warm", &cached), "the warm answer differs");
     handle.shutdown();
     join.join().unwrap().unwrap();
 }

@@ -18,8 +18,9 @@
 //! socket behind the `Sink` trait: a fake sink takes a few bytes per
 //! non-blocking send and reports would-block for the rest. The models
 //! check that a direct send racing the writer keeps every line whole
-//! and sends it once, and that `close` waits for an outstanding
-//! callback; that a job handed to a parked thread whose park time runs
+//! and sends it once, that a three-part answer whose send stops inside
+//! a part is finished from exactly there, and that `close` waits for an
+//! outstanding callback; that a job handed to a parked thread whose park time runs
 //! out at the same moment still runs; and that drain wakes every parked
 //! thread. A last model checks that a drain request always wakes the
 //! accept loop blocked in `accept`.
@@ -179,7 +180,8 @@ impl FakeSink {
 }
 
 impl Sink for FakeSink {
-    fn try_send(&self, bytes: &[u8]) -> std::io::Result<usize> {
+    fn try_send_parts(&self, parts: &[&[u8]]) -> std::io::Result<usize> {
+        let bytes = parts.concat();
         let n = bytes.len().min(self.room);
         if n == 0 {
             return Err(ErrorKind::WouldBlock.into());
@@ -235,6 +237,38 @@ fn direct_sends_racing_the_writer_keep_every_line_whole() {
     })
     .schedules;
     eprintln!("outbox_direct_vs_writer: {schedules} schedules");
+    assert!(schedules >= 10, "explored only {schedules} schedules");
+}
+
+#[test]
+fn a_parts_answer_racing_a_queued_answer_stays_whole() {
+    let schedules = loom::Builder {
+        max_preemptions: 2,
+        max_schedules: 50_000,
+    }
+    .model(|| {
+        // The connection thread sends an answer in three parts whose
+        // direct send stops inside the second part (the sink takes 4 of
+        // its 8 bytes), so the rest, from that exact offset, goes to a
+        // writer job. A pool callback's answer races it: sent before
+        // it, queued behind the writer, or sent after. `close` races
+        // both.
+        let threads = ThreadCache::new("model-job", Duration::from_secs(1), 1);
+        let outbox = Arc::new(Outbox::new(FakeSink::new(4), Arc::clone(&threads)));
+        let reply = outbox.reply();
+        let callback = thread::spawn(move || reply.send("qq".into()));
+        outbox.send_parts(&[b"hh", b"cccc", b"t\n"]);
+        outbox.close();
+        let taken = outbox.sink().taken();
+        assert!(taken.ends_with('\n'), "a torn last line: {taken:?}");
+        let mut lines: Vec<&str> = taken.split_terminator('\n').collect();
+        lines.sort_unstable();
+        assert_eq!(lines, ["hhcccct", "qq"], "a line torn, lost or repeated");
+        callback.join().expect("callback joins");
+        threads.drain();
+    })
+    .schedules;
+    eprintln!("outbox_parts_vs_queued: {schedules} schedules");
     assert!(schedules >= 10, "explored only {schedules} schedules");
 }
 

@@ -1,9 +1,11 @@
 //! The daemon renders `solve` and `pareto` answers by splicing each
 //! report's canonical text into the response envelope instead of
-//! parsing it back into a tree. These tests pin that the spliced line
-//! is byte-identical to the tree-built one,
-//! `ok_response(id, report_to_wire(&report))` (and its pareto twin),
-//! over every golden instance, seeded instances, every report shape
+//! parsing it back into a tree; a `solve` answer goes out as three
+//! parts (head, canonical text, memoized tail). These tests pin that
+//! the spliced line and the concatenated parts are byte-identical to
+//! the tree-built one, `ok_response(id, report_to_wire(&report))` (and
+//! its pareto twin), over every golden instance, seeded instances, a
+//! long pipeline, computed and cached reports, every report shape
 //! (infeasible, fallback reasons, search counters) and ids that need
 //! escaping.
 
@@ -11,7 +13,8 @@ use repliflow_core::gen::Gen;
 use repliflow_core::prelude::*;
 use repliflow_multicrit::{FrontReport, FrontRequest, FrontSolver};
 use repliflow_serve::protocol::{
-    front_ok_response, front_to_wire, ok_response, report_ok_response, report_to_wire,
+    front_ok_response, front_to_wire, ok_response, report_ok_parts, report_ok_response,
+    report_to_wire,
 };
 use repliflow_solver::{
     Budget, FallbackReason, Optimality, Provenance, Quality, SearchStats, SolveReport,
@@ -150,6 +153,82 @@ fn solve_responses_splice_byte_identically() {
     assert!(solved >= 20, "too few reports checked");
 }
 
+/// The three parts of `report`'s answer concatenate to the tree-built
+/// line and its `\n`, under every id, and the tail is rendered once.
+fn assert_parts_identity(report: &SolveReport, what: &str) {
+    let mut tails = Vec::new();
+    for id in ids() {
+        let mut tree = ok_response(&id, report_to_wire(report));
+        tree.push('\n');
+        let parts = report_ok_parts(&id, report);
+        assert_eq!(parts.concat(), tree, "{what}, id {id:?}");
+        assert_eq!(
+            parts.slices().concat(),
+            tree.as_bytes(),
+            "{what}, id {id:?}"
+        );
+        assert!(
+            std::ptr::eq(parts.canonical, report.canonical_text()),
+            "{what}: the canonical text was copied"
+        );
+        tails.push(parts.tail.as_ptr());
+    }
+    tails.dedup();
+    assert_eq!(tails.len(), 1, "{what}: the tail was rendered per answer");
+}
+
+/// A long pipeline on a homogeneous platform: a polynomial period
+/// cell, so its solve is cheap, and an answer of hundreds of KB.
+fn long_pipeline(stages: usize) -> ProblemInstance {
+    let mut gen = Gen::new(0x4000_57A6);
+    let workflow: Workflow = gen.pipeline(stages, 100, 999).into();
+    ProblemInstance::new(
+        workflow,
+        Platform::homogeneous(8, 3),
+        false,
+        Objective::Period,
+    )
+}
+
+#[test]
+fn solve_answer_parts_concatenate_to_the_tree_line() {
+    // a caching service: the second solve of each instance is the
+    // cached report a warm hit sends
+    let service = Arc::new(SolverService::builder().workers(2).build());
+    let budget = Budget::default().quality(Quality::Fast);
+    let instances = goldens()
+        .into_iter()
+        .chain(
+            seeded_instances()
+                .into_iter()
+                .enumerate()
+                .map(|(i, inst)| (format!("seeded {i}"), inst)),
+        )
+        .chain(std::iter::once((
+            "40 000 stages".to_string(),
+            long_pipeline(40_000),
+        )));
+    let mut checked = 0;
+    for (name, instance) in instances {
+        let request = SolveRequest::new(instance).budget(budget);
+        let computed = service
+            .solve(&request)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let cached = service
+            .solve(&request)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(computed.provenance, Provenance::Computed, "{name}");
+        assert_eq!(cached.provenance, Provenance::Cached, "{name}");
+        if name.starts_with("40 000") {
+            assert!(computed.canonical_text().len() > 256 << 10, "{name}");
+        }
+        assert_parts_identity(&computed, &format!("{name} (computed)"));
+        assert_parts_identity(&cached, &format!("{name} (cached)"));
+        checked += 1;
+    }
+    assert!(checked >= 21, "too few reports checked");
+}
+
 #[test]
 fn every_report_shape_splices_byte_identically() {
     let service = service();
@@ -208,6 +287,7 @@ fn every_report_shape_splices_byte_identically() {
     }
     for (what, report) in &shapes {
         assert_solve_splice(report, what);
+        assert_parts_identity(report, what);
     }
 }
 

@@ -209,20 +209,27 @@ pub struct SolveReport {
     /// cached report keeps its original compute time).
     pub wall_time: Duration,
     /// Memo of [`SolveReport::canonical_json`]'s text, filled by its
-    /// first call. Build reports with `Default::default()` here;
-    /// a clone starts empty, so a struct-update copy
+    /// first call, and of the [serving tail](SolveReport::serving_tail).
+    /// Build reports with `Default::default()` here; a clone starts
+    /// empty, so a struct-update copy
     /// (`SolveReport { fallback, ..report.clone() }`) renders its own
     /// text. Mutating a field after the first render is not tracked:
     /// derive a new report instead.
     pub canonical: CanonicalMemo,
 }
 
-/// The lazily rendered canonical text of one report (see
-/// [`SolveReport::canonical`]). Cloning yields an empty memo, never a
-/// copy of the text, so a copy whose fields then change cannot serve
+/// The lazily rendered texts of one report: its canonical text (see
+/// [`SolveReport::canonical`]) and its serving tail (see
+/// [`SolveReport::serving_tail`]). Cloning yields an empty memo, never
+/// a copy of the texts, so a copy whose fields then change cannot serve
 /// stale bytes.
 #[derive(Default)]
-pub struct CanonicalMemo(OnceLock<String>);
+pub struct CanonicalMemo {
+    text: OnceLock<String>,
+    /// Boxed twice, so the slot costs one thin pointer beside its
+    /// once-flag.
+    tail: OnceLock<Box<Box<str>>>,
+}
 
 impl Clone for CanonicalMemo {
     fn clone(&self) -> CanonicalMemo {
@@ -233,7 +240,8 @@ impl Clone for CanonicalMemo {
 impl fmt::Debug for CanonicalMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CanonicalMemo")
-            .field("filled", &self.0.get().is_some())
+            .field("filled", &self.text.get().is_some())
+            .field("tail", &self.tail.get().is_some())
             .finish()
     }
 }
@@ -263,7 +271,20 @@ impl SolveReport {
     /// The memoized text of [`SolveReport::canonical_json`], rendered
     /// by the first call on this report.
     pub fn canonical_text(&self) -> &str {
-        self.canonical.0.get_or_init(|| self.render_canonical())
+        self.canonical.text.get_or_init(|| self.render_canonical())
+    }
+
+    /// The memoized serving tail: the text a wire protocol renders from
+    /// what the canonical form leaves out (provenance, wall time, float
+    /// renderings, search counters) to follow the canonical text in an
+    /// answer. The first call renders it with `render`; every later
+    /// call returns that text whatever it passes, so a report has one
+    /// renderer, the daemon's protocol. A cached report's tail never
+    /// changes, so a repeated hit renders nothing.
+    pub fn serving_tail(&self, render: impl FnOnce(&SolveReport) -> String) -> &str {
+        self.canonical
+            .tail
+            .get_or_init(|| Box::new(render(self).into_boxed_str()))
     }
 
     fn render_canonical(&self) -> String {
